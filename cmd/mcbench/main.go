@@ -422,7 +422,7 @@ func runSweep(ctx context.Context, gridStr, remote, scale string, opts experimen
 			req.UncertaintyBound = cfg.bound
 		}
 		results = make(map[string]sweepd.CellResult)
-		total := len(g.Cells())
+		total := g.Size()
 		s, err := sweepd.Submit(ctx, remote, req, func(res sweepd.CellResult) {
 			results[res.Cell.Key()] = res
 			fmt.Fprintf(os.Stderr, "cell %d/%d %s: %s\n", len(results), total, res.Cell.Key(), res.Status)

@@ -18,10 +18,10 @@
 // what the closed forms must get right is the shape across ranks and
 // placement schemes.
 //
-// Everything is pure float math evaluated in a fixed order from cached
-// per-(system, ranks, scheme) layout aggregates, so estimates are
+// Everything is pure float math evaluated in a fixed order from layout
+// aggregates cached per (system, ranks) row, so estimates are
 // deterministic and byte-identical regardless of worker count, and a
-// cached cell prices with zero heap allocations.
+// row on warm caches prices with zero heap allocations.
 package analytic
 
 import (
@@ -54,18 +54,10 @@ type Estimate struct {
 	Uncertainty float64
 }
 
-type layoutKey struct {
-	system string
-	ranks  int
-	scheme affinity.Scheme
-}
-
 // layoutInfo caches the placement aggregates of one (system, ranks,
 // scheme) triple. All fields are derived once from affinity.Layout plus
 // the machine spec and shared by every workload priced on that layout.
 type layoutInfo struct {
-	err error // infeasibility, reported for every cell on this layout
-
 	// maxSockLoad is the hottest memory controller's load in units of
 	// one rank's traffic (2.0 = two ranks' worth of bytes hit one MC).
 	maxSockLoad float64
@@ -112,9 +104,33 @@ type profileEntry struct {
 	err  error
 }
 
+// machineInfo is one system's spec plus its layout rows: the layouts of
+// each rank count, indexed by scheme, so a table row finds all of its
+// placements with one map lookup.
 type machineInfo struct {
 	spec *machine.Spec
-	peak float64
+	rows map[int][]layoutSlot
+}
+
+// layoutSlot caches one layout: its aggregates, or the error that makes
+// it unplaceable. Both nil means not yet computed.
+type layoutSlot struct {
+	li  *layoutInfo
+	err error
+}
+
+// layout returns the cached layout of scheme in row, computing it on
+// first use. Schemes outside affinity.Schemes are not cached; Layout
+// reports them as errors.
+func (m *machineInfo) layout(row []layoutSlot, ranks int, scheme affinity.Scheme) layoutSlot {
+	if uint(scheme) >= uint(len(row)) {
+		li, err := newLayoutInfo(m, ranks, scheme)
+		return layoutSlot{li, err}
+	}
+	if sl := &row[scheme]; sl.li == nil && sl.err == nil {
+		sl.li, sl.err = newLayoutInfo(m, ranks, scheme)
+	}
+	return row[scheme]
 }
 
 // Estimator prices sweep cells analytically. The zero value is not
@@ -124,7 +140,6 @@ type Estimator struct {
 
 	mu       sync.Mutex
 	machines map[string]*machineInfo
-	layouts  map[layoutKey]*layoutInfo
 	profiles map[profileKey]*profileEntry
 	factors  map[string]float64 // calibration class -> correction factor
 }
@@ -135,7 +150,6 @@ func New() *Estimator {
 	return &Estimator{
 		impl:     mpi.MPICH2(),
 		machines: make(map[string]*machineInfo),
-		layouts:  make(map[layoutKey]*layoutInfo),
 		profiles: make(map[profileKey]*profileEntry),
 	}
 }
@@ -157,61 +171,76 @@ func Class(family, system string) string { return family + "/" + system }
 // and an error for unknown systems or workload families without an
 // analytic profile (callers promote those to full simulation).
 func (e *Estimator) Cell(spec workload.Spec, system string, ranks int, scheme affinity.Scheme) (Estimate, error) {
+	var est [1]Estimate
+	var errs [1]error
+	e.Row(spec, system, ranks, []affinity.Scheme{scheme}, est[:], errs[:])
+	return est[0], errs[0]
+}
+
+// Row prices one table row: spec on system at ranks under each of
+// schemes, setting est[i] and errs[i] for schemes[i] exactly as Cell
+// would. The row costs one lock and one machine, layout-row and profile
+// lookup; on warm caches it does not allocate.
+func (e *Estimator) Row(spec workload.Spec, system string, ranks int, schemes []affinity.Scheme, est []Estimate, errs []error) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	m, ok := e.machines[system]
 	if !ok {
 		if s := machine.Lookup(system); s != nil {
-			m = &machineInfo{spec: s, peak: s.PeakFlops()}
+			m = &machineInfo{spec: s, rows: make(map[int][]layoutSlot)}
 		}
 		e.machines[system] = m
 	}
 	if m == nil {
-		e.mu.Unlock()
-		return Estimate{}, fmt.Errorf("analytic: unknown system %q", system)
-	}
-
-	lk := layoutKey{system: system, ranks: ranks, scheme: scheme}
-	li, ok := e.layouts[lk]
-	if !ok {
-		li = newLayoutInfo(m, ranks, scheme)
-		e.layouts[lk] = li
-	}
-	if li.err != nil {
-		e.mu.Unlock()
-		return Estimate{}, li.err
-	}
-
-	pk := profileKey{name: spec.Name, arg: spec.Arg, class: spec.Class, steps: spec.Steps, n: spec.N, ranks: ranks}
-	pe, ok := e.profiles[pk]
-	if !ok {
-		prof, err := workload.ProfileFor(spec, ranks)
-		pe = &profileEntry{prof: prof, err: err}
-		e.profiles[pk] = pe
-	}
-	factor := 1.0
-	if pe.err == nil {
-		if f, ok := e.factors[Class(pe.prof.Family, system)]; ok {
-			factor = f
+		err := fmt.Errorf("analytic: unknown system %q", system)
+		for i := range schemes {
+			est[i], errs[i] = Estimate{}, err
 		}
+		return
 	}
-	e.mu.Unlock()
-
-	if pe.err != nil {
-		return Estimate{}, pe.err
+	row, ok := m.rows[ranks]
+	if !ok {
+		row = make([]layoutSlot, len(affinity.Schemes))
+		m.rows[ranks] = row
 	}
-	return e.price(m, li, &pe.prof, ranks, factor), nil
+	var pe *profileEntry // looked up at the row's first feasible layout
+	factor := 1.0
+	for i, scheme := range schemes {
+		est[i], errs[i] = Estimate{}, nil
+		sl := m.layout(row, ranks, scheme)
+		if sl.err != nil {
+			errs[i] = sl.err
+			continue
+		}
+		if pe == nil {
+			pk := profileKey{name: spec.Name, arg: spec.Arg, class: spec.Class, steps: spec.Steps, n: spec.N, ranks: ranks}
+			if pe = e.profiles[pk]; pe == nil {
+				prof, err := workload.ProfileFor(spec, ranks)
+				pe = &profileEntry{prof: prof, err: err}
+				e.profiles[pk] = pe
+			}
+			if f, ok := e.factors[Class(pe.prof.Family, system)]; ok && pe.err == nil {
+				factor = f
+			}
+		}
+		if pe.err != nil {
+			errs[i] = pe.err
+			continue
+		}
+		est[i] = e.price(m, sl.li, &pe.prof, ranks, factor)
+	}
 }
 
 // newLayoutInfo computes the placement aggregates for one layout.
 // Feasible rank counts are bounded by the core count (at most 16 on the
 // paper systems), so the O(ranks^2) pair scan is trivial; infeasible
 // layouts — the bulk of a million-cell grid — cost one Layout call.
-func newLayoutInfo(m *machineInfo, ranks int, scheme affinity.Scheme) *layoutInfo {
+func newLayoutInfo(m *machineInfo, ranks int, scheme affinity.Scheme) (*layoutInfo, error) {
 	s := m.spec
 	topo := s.Topo
 	binds, err := affinity.Layout(scheme, topo, ranks)
 	if err != nil {
-		return &layoutInfo{err: err}
+		return nil, err
 	}
 	n := topo.NumSockets
 	sockLoad := make([]float64, n)
@@ -283,7 +312,7 @@ func newLayoutInfo(m *machineInfo, ranks int, scheme affinity.Scheme) *layoutInf
 		li.avgPairHops = pairSum / float64(ranks*(ranks-1))
 		li.ringHops = ringSum / float64(ranks)
 	}
-	return li
+	return li, nil
 }
 
 // price evaluates the roofline + MPI closed forms. Pure float math in a

@@ -2,6 +2,7 @@ package analytic_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -85,6 +86,96 @@ func TestCellDeterministic(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// rowSchemes is a table row's scheme axis in the row tests: every
+// scheme shape, feasible or not depending on the system and ranks.
+var rowSchemes = []affinity.Scheme{affinity.Default, affinity.OneMPILocalAlloc, affinity.OneMPIMembind,
+	affinity.TwoMPILocalAlloc, affinity.Interleave}
+
+func sameBits(a, b analytic.Estimate) bool {
+	return math.Float64bits(a.Seconds) == math.Float64bits(b.Seconds) &&
+		math.Float64bits(a.Compute) == math.Float64bits(b.Compute) &&
+		math.Float64bits(a.Memory) == math.Float64bits(b.Memory) &&
+		math.Float64bits(a.MPI) == math.Float64bits(b.MPI) &&
+		math.Float64bits(a.Uncertainty) == math.Float64bits(b.Uncertainty)
+}
+
+// TestEstimatorConcurrentRows: goroutines pricing overlapping rows on
+// one shared, calibrated estimator (each walking the rows in its own
+// order, so caches fill in different orders) get estimates bit-equal to
+// a serial estimator's, and the same errors.
+func TestEstimatorConcurrentRows(t *testing.T) {
+	type rowCase struct {
+		spec  workload.Spec
+		sys   string
+		ranks int
+	}
+	var rows []rowCase
+	for _, w := range []string{"stream", "cg", "ra", "lmbench", "pop", "nosuchfamily"} {
+		for _, sys := range []string{"tiger", "dmz", "longs", "cray"} {
+			for _, r := range []int{1, 2, 3, 4, 8, 16, 32} {
+				rows = append(rows, rowCase{mustSpec(t, w), sys, r})
+			}
+		}
+	}
+	factors := map[string]float64{analytic.Class("stream", "longs"): 1.25, analytic.Class("cg", "dmz"): 0.8}
+	ref := analytic.New()
+	ref.SetCalibration(factors)
+	want := make([][]analytic.Estimate, len(rows))
+	wantErr := make([][]error, len(rows))
+	for i, rc := range rows {
+		want[i] = make([]analytic.Estimate, len(rowSchemes))
+		wantErr[i] = make([]error, len(rowSchemes))
+		ref.Row(rc.spec, rc.sys, rc.ranks, rowSchemes, want[i], wantErr[i])
+	}
+
+	e := analytic.New()
+	e.SetCalibration(factors)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			est := make([]analytic.Estimate, len(rowSchemes))
+			errs := make([]error, len(rowSchemes))
+			for k := range rows {
+				i := (k + g*len(rows)/8) % len(rows)
+				if g%2 == 1 {
+					i = len(rows) - 1 - i
+				}
+				rc := rows[i]
+				e.Row(rc.spec, rc.sys, rc.ranks, rowSchemes, est, errs)
+				for j := range rowSchemes {
+					if fmt.Sprint(errs[j]) != fmt.Sprint(wantErr[i][j]) || !sameBits(est[j], want[i][j]) {
+						t.Errorf("%s on %s r%d %v: concurrent (%v, %v), serial (%v, %v)", rc.spec, rc.sys, rc.ranks,
+							rowSchemes[j], est[j], errs[j], want[i][j], wantErr[i][j])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestRowZeroAllocs: on warm caches a row, and Cell, price without heap
+// allocation, feasible or not and with calibration installed.
+func TestRowZeroAllocs(t *testing.T) {
+	e := analytic.New()
+	e.SetCalibration(map[string]float64{analytic.Class("cg", "longs"): 1.1})
+	spec := mustSpec(t, "cg")
+	est := make([]analytic.Estimate, len(rowSchemes))
+	errs := make([]error, len(rowSchemes))
+	for _, r := range []int{4, 64} {
+		e.Row(spec, "longs", r, rowSchemes, est, errs)
+		if n := testing.AllocsPerRun(100, func() { e.Row(spec, "longs", r, rowSchemes, est, errs) }); n != 0 {
+			t.Errorf("warm Row at %d ranks made %v allocations, want 0", r, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { e.Cell(spec, "longs", r, affinity.Interleave) }); n != 0 {
+			t.Errorf("warm Cell at %d ranks made %v allocations, want 0", r, n)
+		}
+	}
 }
 
 func TestCellInfeasible(t *testing.T) {

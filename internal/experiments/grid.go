@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"multicore/internal/affinity"
 	"multicore/internal/workload"
@@ -31,17 +32,25 @@ func ParseScale(s string) (Scale, error) {
 // safe to use in CellKey.Workload and hence in persistent store
 // addresses.
 func WorkloadKey(spec workload.Spec) string {
-	key := spec.String()
+	var buf [64]byte
+	return string(AppendWorkloadKey(buf[:0], spec))
+}
+
+// AppendWorkloadKey appends WorkloadKey(spec) to dst, so callers that
+// build longer identities around it (sweep cell keys and fingerprints)
+// need no intermediate string.
+func AppendWorkloadKey(dst []byte, spec workload.Spec) []byte {
+	dst = append(dst, spec.String()...)
 	if spec.Class != "" {
-		key += fmt.Sprintf("[class=%s]", spec.Class)
+		dst = append(append(append(dst, "[class="...), spec.Class...), ']')
 	}
 	if spec.Steps != 0 {
-		key += fmt.Sprintf("[steps=%d]", spec.Steps)
+		dst = append(strconv.AppendInt(append(dst, "[steps="...), int64(spec.Steps), 10), ']')
 	}
 	if spec.N != 0 {
-		key += fmt.Sprintf("[n=%d]", spec.N)
+		dst = append(strconv.AppendInt(append(dst, "[n="...), int64(spec.N), 10), ']')
 	}
-	return key
+	return dst
 }
 
 // RunWorkloadCell simulates one registry workload on a system under a

@@ -362,7 +362,7 @@ func (c *Coordinator) restore(snapshot []byte, records [][]byte) error {
 		if p.Token == "" {
 			continue
 		}
-		sw, err := c.buildSweepLocked(p.Token, p.Req, ps.Results)
+		sw, err := c.buildSweepLocked(p.Token, p.Req, ps.Results, nil)
 		if err != nil {
 			c.opts.Logf("restore: dropping sweep %s: %v", p.Token, err)
 			continue
@@ -706,9 +706,10 @@ func writeJSON(w http.ResponseWriter, v any) {
 // it under token, and attaches its cells: existing executions gain a
 // reference, already-finalized ones adopt immediately, new ones queue
 // at the sweep's priority. finals, when non-nil (restore), supplies
-// pre-crash results for cells this sweep should see as done. Callers
-// hold c.mu.
-func (c *Coordinator) buildSweepLocked(token string, req SweepRequest, finals map[string]CellResult) (*sweepState, error) {
+// pre-crash results for cells this sweep should see as done. decisions,
+// when non-nil, is the screening admission control already did for
+// this request. Callers hold c.mu.
+func (c *Coordinator) buildSweepLocked(token string, req SweepRequest, finals map[string]CellResult, decisions []ScreenDecision) (*sweepState, error) {
 	for id, raw := range req.Specs {
 		got, _, err := machine.RegisterSpecJSON(raw)
 		if err != nil {
@@ -721,7 +722,6 @@ func (c *Coordinator) buildSweepLocked(token string, req SweepRequest, finals ma
 	if err := req.Grid.Validate(); err != nil {
 		return nil, err
 	}
-	cells := req.Grid.Cells()
 	sw := &sweepState{
 		token:   token,
 		req:     req,
@@ -729,18 +729,20 @@ func (c *Coordinator) buildSweepLocked(token string, req SweepRequest, finals ma
 		results: map[string]CellResult{},
 		subs:    map[chan CellResult]bool{},
 	}
-	sw.sum.Cells = len(cells)
+	sw.sum.Cells = req.Grid.Size()
 
 	// Screening tier: price the whole grid in-process and lease only the
 	// promoted cells. ScreenGrid is deterministic, so a restore replays
 	// it instead of journaling a million settled results.
-	if req.Screen {
-		decisions := ScreenGrid(c.est, req.Grid, ScreenOptions{
-			PromoteMargin:    req.PromoteMargin,
-			UncertaintyBound: req.UncertaintyBound,
-		})
-		cells = cells[:0]
-		for _, d := range decisions {
+	var cells []CellSpec
+	if !req.Screen {
+		cells = req.Grid.Cells()
+	} else {
+		if decisions == nil {
+			decisions = c.screen(req)
+		}
+		for i := range decisions {
+			d := &decisions[i]
 			if d.Promote {
 				cells = append(cells, d.Cell)
 				continue
@@ -824,6 +826,15 @@ func (c *Coordinator) buildSweepLocked(token string, req SweepRequest, finals ma
 		c.signalLocked()
 	}
 	return sw, nil
+}
+
+// screen prices a screened request's grid on the coordinator's shared
+// estimator.
+func (c *Coordinator) screen(req SweepRequest) []ScreenDecision {
+	return ScreenGrid(c.est, req.Grid, ScreenOptions{
+		PromoteMargin:    req.PromoteMargin,
+		UncertaintyBound: req.UncertaintyBound,
+	})
 }
 
 // inflightLocked sums a client's outstanding (unfinalized) cells across
@@ -925,18 +936,18 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// promoted cells this sweep would add. Screened grids admit by their
 	// post-screen footprint, so a million-cell screened sweep with a
 	// small promoted set passes a small quota.
+	var decisions []ScreenDecision
 	if max := c.opts.MaxInflightPerClient; max > 0 {
 		have := c.inflightLocked(req.Client)
-		add := len(req.Grid.Cells()) // pre-screen upper bound
+		add := req.Grid.Size() // pre-screen upper bound
 		if have+add > max && req.Screen {
 			// Screening is deterministic and cheap; price it to get the
-			// real footprint before rejecting.
+			// real footprint before rejecting, and keep the decisions
+			// for the sweep itself.
+			decisions = c.screen(req)
 			add = 0
-			for _, d := range ScreenGrid(c.est, req.Grid, ScreenOptions{
-				PromoteMargin:    req.PromoteMargin,
-				UncertaintyBound: req.UncertaintyBound,
-			}) {
-				if d.Promote {
+			for i := range decisions {
+				if decisions[i].Promote {
 					add++
 				}
 			}
@@ -956,7 +967,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	token := "s" + randomHex(6)
 	c.journalLocked(journalRecord{T: "sweep", Token: token, Req: &req})
-	sw, err := c.buildSweepLocked(token, req, nil)
+	sw, err := c.buildSweepLocked(token, req, nil, decisions)
 	if err != nil {
 		c.mu.Unlock()
 		http.Error(w, err.Error(), http.StatusBadRequest)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"multicore/internal/analytic"
 	"multicore/internal/schema"
 	"multicore/internal/store"
 )
@@ -78,6 +79,35 @@ func TestQuotaRejectsOverInflightLimit(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("other client's submission status = %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestQuotaAdmitsScreenedFootprint: a screened grid larger than the
+// client's quota is admitted when its promoted cells fit, and the sweep
+// queues exactly the cells the admission screening counted; a second
+// copy from the same client no longer fits.
+func TestQuotaAdmitsScreenedFootprint(t *testing.T) {
+	g := screenGrid()
+	promoted := 0
+	for _, d := range ScreenGrid(analytic.New(), g, ScreenOptions{}) {
+		if d.Promote {
+			promoted++
+		}
+	}
+	if promoted == 0 || promoted >= g.Size() {
+		t.Fatalf("%d of %d cells promoted; the test needs a partial promotion", promoted, g.Size())
+	}
+	_, srv := startCoordinator(t, CoordinatorOptions{MaxInflightPerClient: promoted})
+	req := SweepRequest{SchemaVersion: schema.Version, Grid: g, Screen: true, Client: "bulk"}
+	// No workers: the promoted cells stay in flight.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go Submit(ctx, srv.URL, req, func(CellResult) {})
+	waitStatus(t, srv.URL, func(s Status) bool { return s.Queued == promoted })
+
+	var qe *QuotaError
+	if _, err := Submit(context.Background(), srv.URL, req, func(CellResult) {}); !errors.As(err, &qe) {
+		t.Fatalf("second screened submission err = %v, want *QuotaError", err)
 	}
 }
 

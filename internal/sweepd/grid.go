@@ -308,9 +308,30 @@ type CellSpec struct {
 // in-flight cells by it (joined with the sweep's fault plan and seed —
 // see dedupKey) and tables index results by it.
 func (c CellSpec) Key() string {
+	var buf [128]byte
+	return string(appendKeyTail(appendWorkloadKey(buf[:0], &c), &c))
+}
+
+// appendWorkloadKey appends the workload part of c's Key: its spec, with
+// the grid-wide overrides applied, in experiments.WorkloadKey form.
+func appendWorkloadKey(dst []byte, c *CellSpec) []byte {
 	spec, _ := workload.ParseSpec(c.Workload)
 	spec.Class, spec.Steps, spec.N = c.Class, c.Steps, c.N
-	return fmt.Sprintf("%s/%s/r%d/%s/%s", experiments.WorkloadKey(spec), c.System, c.Ranks, c.Scheme, c.Scale)
+	return experiments.AppendWorkloadKey(dst, spec)
+}
+
+// appendKeyTail appends the rest of c's Key after its workload part.
+func appendKeyTail(dst []byte, c *CellSpec) []byte {
+	dst = append(append(dst, '/'), c.System...)
+	dst = strconv.AppendInt(append(dst, "/r"...), int64(c.Ranks), 10)
+	dst = append(append(dst, '/'), c.Scheme...)
+	return append(append(dst, '/'), c.Scale...)
+}
+
+// Size is the number of cells in the grid, len(g.Cells()), without
+// expanding them.
+func (g Grid) Size() int {
+	return len(g.Workloads) * len(g.Systems) * len(g.Ranks) * len(g.Schemes)
 }
 
 // Cells expands the grid in declared order: workload, then system, then

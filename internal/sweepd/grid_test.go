@@ -141,7 +141,54 @@ func FuzzParseGrid(f *testing.F) {
 		if g2.String() != canon {
 			t.Fatalf("round-trip %q -> %q", canon, g2.String())
 		}
+		// Size counts without expanding; check it where expanding is cheap.
+		if n := g.Size(); n <= 1<<16 && len(g.Cells()) != n {
+			t.Fatalf("Size() = %d for a grid of %d cells", n, len(g.Cells()))
+		}
 	})
+}
+
+// TestKeyFingerprintGolden pins cell keys and fingerprints to values
+// computed by the original fmt/strconv implementation. Both are wire
+// protocol: clients recompute fingerprints and compare them with the
+// coordinator's, and keys index tables and dedup cells.
+func TestKeyFingerprintGolden(t *testing.T) {
+	for _, tc := range []struct {
+		res     CellResult
+		key, fp string
+	}{
+		{CellResult{Cell: CellSpec{Workload: "cg", System: "longs", Ranks: 8, Scheme: "membind", Scale: "quick"},
+			Status: StatusOK, Seconds: 0.012345678901234567},
+			"cg/longs/r8/membind/quick", "818dc5ae00e6d8e4"},
+		{CellResult{Cell: CellSpec{Workload: "stream", System: "tiger", Ranks: 64, Scheme: "localalloc", Scale: "quick"},
+			Status: StatusInfeasible},
+			"stream/tiger/r64/localalloc/quick", "97c87df58f4ca097"},
+		{CellResult{Cell: CellSpec{Workload: "nosuchfamily", System: "dmz", Ranks: 2, Scheme: "default", Scale: "full"},
+			Status: StatusError, Error: `workload: unknown workload "nosuchfamily"`},
+			"nosuchfamily/dmz/r2/default/full", "6251ab675ffb74ad"},
+		{CellResult{Cell: CellSpec{Workload: "ra", System: "longs", Ranks: 4, Scheme: "interleave", Scale: "quick"},
+			Status: StatusEstimated, Seconds: 3.0e-3 / 7, Uncertainty: 0.2375},
+			"ra/longs/r4/interleave/quick", "54873c40892e967d"},
+		{CellResult{Cell: CellSpec{Workload: "amber:JAC", Class: "B", Steps: 10, N: 64, System: "sock:8p+8e@0123456789ab",
+			Ranks: 16, Scheme: "2mpi-membind", Scale: "quick"}, Status: StatusOK, Seconds: 1.5},
+			"amber:JAC[class=B][steps=10][n=64]/sock:8p+8e@0123456789ab/r16/2mpi-membind/quick", "7f9023c8f09dbd1b"},
+		{CellResult{Cell: CellSpec{Workload: "cg:", Steps: 3, System: "tiger", Ranks: 1, Scheme: "default", Scale: "quick"},
+			Status: StatusOK, Seconds: 2.5e-7},
+			"cg[steps=3]/tiger/r1/default/quick", "1f1009eb782b14f6"},
+		{CellResult{Cell: CellSpec{Workload: ":x", Class: "A", N: 7, System: "tiger", Ranks: 2, Scheme: "nosuchscheme", Scale: "quick"},
+			Status: StatusError, Error: `workload: empty workload name in ":x"`},
+			"[class=A][n=7]/tiger/r2/nosuchscheme/quick", "1b2195e045035333"},
+		{CellResult{Cell: CellSpec{Workload: "lammps:lj:big", System: "epyc2x4", Ranks: 32, Scheme: "interleave", Scale: "full"},
+			Status: StatusOK, Worker: "w1", Simulated: true, Attempt: 2, Promoted: true},
+			"lammps:lj:big/epyc2x4/r32/interleave/full", "fd94f654304de6d6"},
+	} {
+		if got := tc.res.Cell.Key(); got != tc.key {
+			t.Errorf("Key() = %q, want %q", got, tc.key)
+		}
+		if got := Fingerprint(tc.res); got != tc.fp {
+			t.Errorf("Fingerprint(%s) = %s, want %s", tc.key, got, tc.fp)
+		}
+	}
 }
 
 func TestFingerprintDeterministic(t *testing.T) {

@@ -104,17 +104,21 @@ type CellResult struct {
 // equal roundings), and the error text. Any worker — and the serial
 // golden path — must produce the same fingerprint for the same cell.
 func Fingerprint(res CellResult) string {
-	h := sha256.New()
-	for _, f := range []string{
-		res.Cell.Key(),
-		res.Status,
-		strconv.FormatFloat(res.Seconds, 'x', -1, 64),
-		res.Error,
-	} {
-		h.Write([]byte(f))
-		h.Write([]byte{0})
-	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
+	var buf [256]byte
+	return fingerprint(appendKeyTail(appendWorkloadKey(buf[:0], &res.Cell), &res.Cell), &res)
+}
+
+// fingerprint completes a fingerprint whose input so far is key, the
+// result's cell Key bytes: it appends the remaining fields, each
+// NUL-terminated like the key, and hashes the whole input at once.
+func fingerprint(key []byte, res *CellResult) string {
+	b := append(append(key, 0), res.Status...)
+	b = strconv.AppendFloat(append(b, 0), res.Seconds, 'x', -1, 64)
+	b = append(append(append(b, 0), res.Error...), 0)
+	sum := sha256.Sum256(b)
+	var hx [16]byte
+	hex.Encode(hx[:], sum[:8])
+	return string(hx[:])
 }
 
 // StreamEvent is one NDJSON line of a sweep response stream: first a

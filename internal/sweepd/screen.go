@@ -3,7 +3,6 @@ package sweepd
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"multicore/internal/affinity"
 	"multicore/internal/analytic"
@@ -78,90 +77,84 @@ type ScreenDecision struct {
 func ScreenGrid(e *analytic.Estimator, g Grid, opts ScreenOptions) []ScreenDecision {
 	opts = opts.withDefaults()
 
-	// Resolve the grid dimensions once; per-cell work must stay cheap
-	// enough to screen ~10^5 cells a second.
-	type wl struct {
-		spec workload.Spec
-		err  error
-	}
-	wls := make([]wl, len(g.Workloads))
-	for i, w := range g.Workloads {
-		spec, err := workload.ParseSpec(w)
-		if err == nil {
-			spec.Class, spec.Steps, spec.N = g.Class, g.Steps, g.N
-		}
-		wls[i] = wl{spec: spec, err: err}
-	}
+	// Resolve the grid dimensions once; a table row then costs one
+	// Estimator.Row call plus a fingerprint for each settled cell.
 	schemes := make([]affinity.Scheme, len(g.Schemes))
 	schemeErr := make([]error, len(g.Schemes))
 	for i, s := range g.Schemes {
 		schemes[i], schemeErr[i] = affinity.ParseScheme(s)
 	}
-
-	decisions := make([]ScreenDecision, 0, len(g.Workloads)*len(g.Systems)*len(g.Ranks)*len(g.Schemes))
-	for wi := range g.Workloads {
+	est := make([]analytic.Estimate, len(schemes))
+	errs := make([]error, len(schemes))
+	decisions := make([]ScreenDecision, g.Size())
+	n := 0
+	for _, w := range g.Workloads {
+		spec, specErr := workload.ParseSpec(w)
+		spec.Class, spec.Steps, spec.N = g.Class, g.Steps, g.N
+		wkey := experiments.AppendWorkloadKey(nil, spec)
 		for _, sys := range g.Systems {
 			for _, r := range g.Ranks {
-				rowStart := len(decisions)
-				for si := range g.Schemes {
-					c := CellSpec{
-						Workload: g.Workloads[wi], Class: g.Class, Steps: g.Steps, N: g.N,
+				row := decisions[n : n+len(schemes)]
+				n += len(schemes)
+				if specErr == nil {
+					e.Row(spec, sys, r, schemes, est, errs)
+				}
+				for si := range row {
+					d := &row[si]
+					d.Cell = CellSpec{
+						Workload: w, Class: g.Class, Steps: g.Steps, N: g.N,
 						System: sys, Ranks: r, Scheme: g.Schemes[si], Scale: g.Scale,
 					}
-					decisions = append(decisions, screenCell(e, c, wls[wi].spec, wls[wi].err, schemes[si], schemeErr[si], opts))
+					// Deterministic spec errors and infeasible placements
+					// settle exactly like the simulator path (same status and
+					// error text, so the same fingerprint); model errors
+					// promote.
+					switch {
+					case specErr != nil:
+						d.Result = resultFor(d.Cell, 0, specErr)
+					case schemeErr[si] != nil:
+						d.Result = resultFor(d.Cell, 0, schemeErr[si])
+					case isInfeasible(errs[si]):
+						settle(d, wkey, StatusInfeasible)
+					case errs[si] != nil:
+						d.Promote, d.Reason = true, ReasonUnestimable
+					default:
+						d.Est, d.HasEst = est[si], true
+						if est[si].Uncertainty > opts.UncertaintyBound {
+							d.Promote, d.Reason = true, ReasonUncertainty
+						}
+					}
 				}
-				promoteCrossovers(decisions[rowStart:], opts.PromoteMargin)
+				promoteCrossovers(row, opts.PromoteMargin)
+				for si := range row {
+					if d := &row[si]; !d.Promote && d.Result.Status == "" {
+						settle(d, wkey, StatusEstimated)
+					}
+				}
 			}
 		}
-	}
-
-	// Settle every cell that survived screening as an estimate result.
-	for i := range decisions {
-		d := &decisions[i]
-		if d.Promote || d.Result.Status != "" {
-			continue
-		}
-		d.Result = CellResult{
-			Cell:        d.Cell,
-			Status:      StatusEstimated,
-			Seconds:     d.Est.Seconds,
-			Uncertainty: d.Est.Uncertainty,
-		}
-		d.Result.Fingerprint = Fingerprint(d.Result)
 	}
 	return decisions
 }
 
-// screenCell prices one cell. Deterministic spec errors and infeasible
-// placements settle exactly like the simulator path (same resultFor
-// text, same fingerprint); model errors promote.
-func screenCell(e *analytic.Estimator, c CellSpec, spec workload.Spec, specErr error,
-	scheme affinity.Scheme, schemeErr error, opts ScreenOptions) ScreenDecision {
-	d := ScreenDecision{Cell: c}
-	if specErr != nil {
-		d.Result = resultFor(c, 0, specErr)
-		return d
+// settle records a screened cell's result under status, carrying its
+// estimate (zero for an infeasible cell). wkey is the cell's workload
+// key, computed once per grid workload.
+func settle(d *ScreenDecision, wkey []byte, status string) {
+	d.Result = CellResult{Cell: d.Cell, Status: status, Seconds: d.Est.Seconds, Uncertainty: d.Est.Uncertainty}
+	var buf [256]byte
+	d.Result.Fingerprint = fingerprint(appendKeyTail(append(buf[:0], wkey...), &d.Cell), &d.Result)
+}
+
+// isInfeasible reports whether err is (or wraps) *affinity.ErrInfeasible.
+// The direct assertion settles the common case before errors.As, whose
+// target would otherwise be heap-allocated on every call.
+func isInfeasible(err error) bool {
+	if _, ok := err.(*affinity.ErrInfeasible); ok || err == nil {
+		return ok
 	}
-	if schemeErr != nil {
-		d.Result = resultFor(c, 0, schemeErr)
-		return d
-	}
-	est, err := e.Cell(spec, c.System, c.Ranks, scheme)
 	var inf *affinity.ErrInfeasible
-	switch {
-	case errors.As(err, &inf):
-		d.Result = resultFor(c, 0, err)
-	case err != nil:
-		d.Promote = true
-		d.Reason = ReasonUnestimable
-	default:
-		d.Est, d.HasEst = est, true
-		if est.Uncertainty > opts.UncertaintyBound {
-			d.Promote = true
-			d.Reason = ReasonUncertainty
-		}
-	}
-	return d
+	return errors.As(err, &inf)
 }
 
 // promoteCrossovers applies the ranking-flip rule to one table row:
@@ -171,22 +164,20 @@ func screenCell(e *analytic.Estimator, c CellSpec, spec workload.Spec, specErr e
 // within margin promotes all three) — exactly the set whose relative
 // order the estimates cannot settle.
 func promoteCrossovers(row []ScreenDecision, margin float64) {
-	idx := make([]int, 0, len(row))
+	var buf [8]int
+	idx := buf[:0]
 	for i := range row {
 		if row[i].HasEst {
 			idx = append(idx, i)
 		}
 	}
-	if len(idx) < 2 {
-		return
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ea, eb := row[idx[a]].Est.Seconds, row[idx[b]].Est.Seconds
-		if ea != eb {
-			return ea < eb
+	// A row holds a handful of schemes: insertion sort, which is stable
+	// (byte-equal estimates keep row order) and allocates nothing.
+	for k := 1; k < len(idx); k++ {
+		for j := k; j > 0 && row[idx[j]].Est.Seconds < row[idx[j-1]].Est.Seconds; j-- {
+			idx[j], idx[j-1] = idx[j-1], idx[j]
 		}
-		return idx[a] < idx[b] // stable for byte-equal estimates
-	})
+	}
 	for k := 0; k+1 < len(idx); k++ {
 		a, b := &row[idx[k]], &row[idx[k+1]]
 		if b.Est.Seconds <= a.Est.Seconds*(1+margin) {

@@ -160,7 +160,7 @@ func Stress(ctx context.Context, opts StressOptions) (StressReport, error) {
 		opts.StateDir = dir
 	}
 	g := stressGrid(opts.Cells)
-	rep.Cells = len(g.Cells())
+	rep.Cells = g.Size()
 	start := time.Now()
 
 	// Serial screened golden: the byte-exact reference the chaotic

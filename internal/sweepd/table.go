@@ -90,12 +90,11 @@ func resolveCell(c CellSpec) (workload.Spec, affinity.Scheme, experiments.Scale,
 // reported as the cell's result.
 func resultFor(c CellSpec, secs float64, err error) CellResult {
 	res := CellResult{Cell: c}
-	var inf *affinity.ErrInfeasible
 	switch {
 	case err == nil:
 		res.Status = StatusOK
 		res.Seconds = secs
-	case errors.As(err, &inf):
+	case isInfeasible(err):
 		res.Status = StatusInfeasible
 	default:
 		res.Status = StatusError
