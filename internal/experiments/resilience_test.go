@@ -52,7 +52,9 @@ func openStore(t *testing.T) *store.Store {
 }
 
 // TestRunCellPanicIsolated: a panicking cell becomes that cell's error —
-// the sweep continues and the panic message survives.
+// the sweep continues and the panic message survives — whether the panic
+// is raised on the cell's goroutine or inside a goroutine-backed process
+// body, which the engine re-raises from RunContext.
 func TestRunCellPanicIsolated(t *testing.T) {
 	r := NewRunner(nil, Options{})
 	_, err := runCell(r, testCellKey("boomy"), func() (float64, error) {
@@ -61,13 +63,24 @@ func TestRunCellPanicIsolated(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "synthetic cell failure") {
 		t.Fatalf("panic not captured as error: %v", err)
 	}
+	_, err = runCell(r, testCellKey("boomy-proc"), func() (float64, error) {
+		e := sim.NewEngine()
+		e.Spawn("rank0", func(p *sim.Proc) {
+			p.Sleep(1)
+			panic("synthetic process failure")
+		})
+		return 0, e.RunContext(context.Background())
+	})
+	if err == nil || !strings.Contains(err.Error(), "synthetic process failure") {
+		t.Fatalf("process body panic not captured as the cell's error: %v", err)
+	}
 	// A healthy cell on the same runner still works.
 	v, err := runCell(r, testCellKey("fine"), func() (float64, error) { return 7, nil })
 	if err != nil || v != 7 {
 		t.Fatalf("healthy cell after panic = (%v, %v)", v, err)
 	}
-	if len(r.CellErrors()) != 1 {
-		t.Fatalf("CellErrors = %v, want the one panic", r.CellErrors())
+	if len(r.CellErrors()) != 2 {
+		t.Fatalf("CellErrors = %v, want the two panics", r.CellErrors())
 	}
 }
 

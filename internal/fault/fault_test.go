@@ -14,34 +14,34 @@ func TestParseErrors(t *testing.T) {
 		"   ",
 		"nonsense",
 		"noise",
-		"noise:period=1ms",                    // missing frac
-		"noise:frac=0.1",                      // missing period
-		"noise:core=3,period=0s,frac=0.1",     // period must be > 0
-		"noise:core=3,period=1ms,frac=1",      // frac must be < 1
-		"noise:core=3,period=1ms,frac=-0.1",   // frac must be >= 0
-		"noise:core=3,period=1ms,frac=NaN",    // non-finite
-		"noise:core=3,period=1ms,frac=Inf",    // non-finite
-		"noise:core=x,period=1ms,frac=0.1",    // bad selector
-		"noise:core=-2,period=1ms,frac=0.1",   // negative selector
-		"noise:core=3,period=1ms,frac=0.1,x=1",// unknown field
+		"noise:period=1ms",                        // missing frac
+		"noise:frac=0.1",                          // missing period
+		"noise:core=3,period=0s,frac=0.1",         // period must be > 0
+		"noise:core=3,period=1ms,frac=1",          // frac must be < 1
+		"noise:core=3,period=1ms,frac=-0.1",       // frac must be >= 0
+		"noise:core=3,period=1ms,frac=NaN",        // non-finite
+		"noise:core=3,period=1ms,frac=Inf",        // non-finite
+		"noise:core=x,period=1ms,frac=0.1",        // bad selector
+		"noise:core=-2,period=1ms,frac=0.1",       // negative selector
+		"noise:core=3,period=1ms,frac=0.1,x=1",    // unknown field
 		"noise:core=3,core=4,period=1ms,frac=0.1", // duplicate field
-		"linkdown:t=2ms..5ms",                 // missing target
-		"linkdown:s0-s0",                      // endpoints must differ
-		"linkdown:s0-s1,t=5ms..2ms",           // end before start
-		"linkdown:s0-s1,t=2ms",                // not a window
-		"linkdown:s0-s1,factor=0",             // factor must be > 0
-		"linkdown:s0-s1,factor=2",             // capacity factor <= 1
-		"mcslow:socket=1",                     // missing factor
-		"straggler:rank=2",                    // missing factor
-		"straggler:factor=2",                  // missing rank
-		"straggler:rank=*,factor=2",           // rank must be specific
-		"straggler:rank=2,factor=0.5",         // slowdown must be >= 1
-		"msgdelay:src=0",                      // missing delay
-		"msgdelay:delay=-1ms",                 // negative duration
-		"cellerr:workload=cg",                 // missing p
-		"cellerr:p=1.5",                       // probability in [0,1]
-		"cellerr:p=0.5,workload=",             // empty filter
-		"mcslow:socket=1,factor=0.5;bogus:x=1",// second clause bad
+		"linkdown:t=2ms..5ms",                     // missing target
+		"linkdown:s0-s0",                          // endpoints must differ
+		"linkdown:s0-s1,t=5ms..2ms",               // end before start
+		"linkdown:s0-s1,t=2ms",                    // not a window
+		"linkdown:s0-s1,factor=0",                 // factor must be > 0
+		"linkdown:s0-s1,factor=2",                 // capacity factor <= 1
+		"mcslow:socket=1",                         // missing factor
+		"straggler:rank=2",                        // missing factor
+		"straggler:factor=2",                      // missing rank
+		"straggler:rank=*,factor=2",               // rank must be specific
+		"straggler:rank=2,factor=0.5",             // slowdown must be >= 1
+		"msgdelay:src=0",                          // missing delay
+		"msgdelay:delay=-1ms",                     // negative duration
+		"cellerr:workload=cg",                     // missing p
+		"cellerr:p=1.5",                           // probability in [0,1]
+		"cellerr:p=0.5,workload=",                 // empty filter
+		"mcslow:socket=1,factor=0.5;bogus:x=1",    // second clause bad
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec, 1); err == nil {

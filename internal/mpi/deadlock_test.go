@@ -3,6 +3,7 @@ package mpi
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -77,5 +78,40 @@ func TestRunContextDeadlineAborts(t *testing.T) {
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("should unwrap to DeadlineExceeded, got %v", err)
+	}
+}
+
+// TestRankPanicReachesCaller: a rank body that panics after a Recv
+// re-panics on the RunContext caller with its own value, after the engine
+// has released every rank goroutine, instead of crashing the program from
+// a worker goroutine.
+func TestRankPanicReachesCaller(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_, err := RunContext(context.Background(), jobOn(machine.DMZ(), MPICH2(), 0, 1, 2, 3), func(r *Rank) {
+			switch r.ID() {
+			case 0:
+				r.Send(1, 4096)
+			case 1:
+				r.Recv(0)
+				panic("rank 1 failed")
+			}
+			r.Barrier()
+		})
+		t.Errorf("RunContext returned %v instead of panicking", err)
+	}()
+	if got != "rank 1 failed" {
+		t.Fatalf("panic value %v, want the rank's own \"rank 1 failed\"", got)
+	}
+	// Released workers exit shortly after RunContext returns; their exit
+	// has no event to wait on, so poll until a deadline.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the run, want %d: rank goroutines leaked", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -2,11 +2,15 @@
 // simulation engine with a fluid-flow network for modeling bandwidth
 // contention.
 //
-// Processes are goroutine-backed coroutines: exactly one process executes at
-// a time, and control transfers between the scheduler and processes through
-// single-slot handoff channels, so simulations are fully deterministic given
-// the same inputs. Time is a float64 in seconds; simultaneous events fire in
-// the order they were scheduled.
+// Processes are coroutines: exactly one goroutine holds control at a time,
+// so simulations are fully deterministic given the same inputs. There is no
+// scheduler goroutine. Whichever goroutine gives up control (a process that
+// blocks, a worker whose process body just returned, or the RunContext
+// caller at start) runs the event loop itself until an event resumes a
+// goroutine-backed process, then hands control straight to that process
+// through its single-slot wake channel, or simply returns if the process is
+// itself. Time is a float64 in seconds; simultaneous events fire in the
+// order they were scheduled.
 //
 // Bandwidth-shared activities (memory streams, message copies) are modeled
 // as flows over paths of capacity-limited resources. Rates are assigned by
@@ -83,7 +87,21 @@ type Engine struct {
 	seq   uint64
 	queue eventHeap
 
-	yield chan struct{} // signaled by a process when it blocks or finishes
+	// yield returns control to the RunContext caller: whoever holds control
+	// when the run ends sends on it, and so does each process that abort
+	// has unwound.
+	yield chan struct{}
+
+	// ctx is the running RunContext's context, polled by whichever
+	// goroutine holds control. stopCause and failure tell the RunContext
+	// caller why the run ended early: the context's error, or the value of
+	// a panic raised by an event or a process body.
+	ctx       context.Context
+	stopCause error
+	failure   any
+
+	// handoffs counts resumes that moved control to another goroutine.
+	handoffs uint64
 
 	liveProcs    int
 	blockedProcs map[*Proc]string
@@ -269,13 +287,15 @@ func (e *Engine) scheduleResume(t float64, p *Proc) {
 // the process's own body function.
 //
 // A Proc has one of two backings. Goroutine-backed processes (Spawn) run
-// arbitrary re-entrant bodies that block mid-call-stack; control transfers
-// through channel handoff. Lightweight processes (SpawnCont) have no
-// goroutine at all: their body is a chain of explicit continuations that
-// the scheduler invokes inline, so blocking costs one closure instead of
-// a stack plus two channel operations per resume. Both backings share the
-// same wake paths (scheduleResume, WaitQueue, flow waiters), observation
-// states, and deadlock reporting.
+// arbitrary re-entrant bodies that block mid-call-stack; a blocked process
+// runs the event loop on its own goroutine, so resuming itself costs no
+// channel operation and resuming another goroutine-backed process costs
+// one handoff. Lightweight processes (SpawnCont) have no goroutine at all:
+// their body is a chain of explicit continuations that the event loop
+// invokes inline on whichever goroutine holds control, so blocking costs
+// one closure instead of a stack. Both backings share the same wake paths
+// (scheduleResume, WaitQueue, flow waiters), observation states, and
+// deadlock reporting.
 type Proc struct {
 	eng  *Engine
 	name string
@@ -310,7 +330,9 @@ func (p *Proc) Now() float64 { return p.eng.now }
 // worker is a reusable goroutine that runs process bodies one after
 // another. Each worker owns one wake channel; the Proc handed to it
 // borrows that channel for its lifetime, which ends before the worker is
-// recycled, so tokens can never leak between processes.
+// recycled, so tokens can never leak between processes. When a body
+// returns, the worker still holds control: it runs the event loop and
+// passes control on before waiting for its next body.
 type worker struct {
 	run  chan spawnReq
 	wake chan struct{}
@@ -326,13 +348,15 @@ type spawnReq struct {
 type procKilled struct{}
 
 // runBody executes a process body, absorbing the procKilled unwind that
-// abort injects into blocked processes. Any other panic propagates: a
-// workload bug must surface, not vanish into a worker goroutine.
-func runBody(req spawnReq) {
+// abort injects into blocked processes. Any other panic becomes the run's
+// failure, which RunContext re-raises on its caller once every goroutine
+// is released: a workload bug must surface where the caller can isolate
+// it, not crash the program from a worker goroutine.
+func (e *Engine) runBody(req spawnReq) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(procKilled); !ok {
-				panic(r)
+			if _, ok := r.(procKilled); !ok && e.failure == nil {
+				e.failure = r
 			}
 		}
 	}()
@@ -345,18 +369,22 @@ func (e *Engine) newWorker() *worker {
 		for req := range w.run {
 			<-req.p.wake
 			if !e.killing { // a kill before first resume skips the body entirely
-				runBody(req)
+				e.runBody(req)
 			}
 			if e.obs != nil {
 				e.procStateChange(req.p, stateBlockedQueue)
 			}
 			req.p.done = true
 			e.liveProcs--
-			// Recycle before yielding: the send below happens-before the
-			// scheduler resumes, so the append is never concurrent with a
-			// Spawn on the scheduler side.
+			// Recycle before the event loop runs: a Spawn it makes may
+			// reuse this worker, whose buffered run channel then holds the
+			// request until the loop below has passed control on.
 			e.idleWorkers = append(e.idleWorkers, w)
-			e.yield <- struct{}{}
+			if e.killing || e.failure != nil {
+				e.pass(nil) // back to abort, or to the caller to re-raise
+			} else {
+				e.pass(e.next())
+			}
 		}
 	}()
 	return w
@@ -430,8 +458,10 @@ func (e *Engine) finishLight(p *Proc) {
 	}
 }
 
-// resume hands control to p and waits until it blocks or finishes.
-func (e *Engine) resume(p *Proc) {
+// resume marks p running. A lightweight process runs its next step
+// inline; for a goroutine-backed one resume reports true, and the caller
+// must hand control to p's goroutine.
+func (e *Engine) resume(p *Proc) bool {
 	if p.done {
 		panic("sim: resuming finished process " + p.name)
 	}
@@ -439,22 +469,90 @@ func (e *Engine) resume(p *Proc) {
 	if e.obs != nil {
 		e.procStateChange(p, stateRunning)
 	}
-	if p.light {
-		if f := p.start; f != nil {
-			p.start = nil
-			f(p)
-		} else {
-			k := p.cont
-			p.cont = nil
-			k()
+	if !p.light {
+		return true
+	}
+	if f := p.start; f != nil {
+		p.start = nil
+		f(p)
+	} else {
+		k := p.cont
+		p.cont = nil
+		k()
+	}
+	if p.cont == nil {
+		e.finishLight(p)
+	}
+	return false
+}
+
+// next runs events on the calling goroutine, which holds control, until
+// one resumes a goroutine-backed process or the run ends. It returns that
+// process, already marked running, or nil once the queue has drained, the
+// context is canceled (stopCause) or an event panicked (failure).
+// Continuations, flow checks and At callbacks run inline; a panic in any
+// of them is recovered here, so it ends the run instead of unwinding the
+// body of the process whose goroutine happens to hold control.
+//
+// Between the last event of a timestamp and the first event of the next,
+// the loop flushes any pending flow-network changes: admissions
+// accumulated at the current time are settled and filled in one batch
+// (see FlowNet.flush).
+func (e *Engine) next() (p *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.failure = r
+			p = nil
 		}
-		if p.cont == nil {
-			e.finishLight(p)
+	}()
+	for {
+		if e.net.dirty && (len(e.queue) == 0 || e.queue[0].at > e.now) {
+			e.net.flush()
+			continue // the flush schedules the next completion event
 		}
+		if len(e.queue) == 0 {
+			return nil
+		}
+		ev := e.queue.pop()
+		if ev.at < e.now {
+			panic("sim: time went backwards")
+		}
+		e.now = ev.at
+		if e.MaxTime > 0 && e.now > e.MaxTime {
+			e.queue.push(ev) // abort must still release the process it names
+			panic(fmt.Sprintf("sim: exceeded MaxTime %g", e.MaxTime))
+		}
+		e.statEvents++
+		if e.statEvents%ctxCheckStride == 0 {
+			if err := e.ctx.Err(); err != nil {
+				e.queue.push(ev)
+				e.stopCause = err
+				return nil
+			}
+		}
+		switch ev.kind {
+		case evResume:
+			if e.resume(ev.proc) {
+				return ev.proc
+			}
+		case evFlowCheck:
+			e.net.completionCheck(ev.gen)
+		default:
+			ev.fire()
+		}
+	}
+}
+
+// pass gives up control: to next, the goroutine-backed process the event
+// loop stopped at, or to the RunContext caller when next is nil because
+// the run is over.
+func (e *Engine) pass(next *Proc) {
+	if next == nil {
+		e.yield <- struct{}{}
 		return
 	}
-	p.wake <- struct{}{}
-	<-e.yield
+	e.handoffs++
+	next.wake <- struct{}{}
 }
 
 // park records a lightweight process as blocked and arms k as the step to
@@ -472,9 +570,10 @@ func (p *Proc) park(kind procState, why string, k func()) {
 	p.cont = k
 }
 
-// block yields control back to the scheduler and waits to be woken. The
-// kind classifies the wait for observation; why labels it in deadlock
-// reports.
+// block parks the process until it is woken. It runs the event loop
+// itself and returns at once if the loop stops at p's own resume;
+// otherwise it passes control on and waits on p's wake channel. The kind
+// classifies the wait for observation; why labels it in deadlock reports.
 func (p *Proc) block(kind procState, why string) {
 	e := p.eng
 	if e.killing {
@@ -486,7 +585,11 @@ func (p *Proc) block(kind procState, why string) {
 	if e.obs != nil {
 		e.procStateChange(p, kind)
 	}
-	e.yield <- struct{}{}
+	next := e.next()
+	if next == p {
+		return
+	}
+	e.pass(next)
 	<-p.wake
 	if e.killing {
 		panic(procKilled{})
@@ -551,87 +654,54 @@ func (e *Engine) Run() {
 // watchdog that turns a would-be silent hang into a diagnosis naming the
 // blocked processes and their wait labels.
 //
+// A panic raised by an event callback, a continuation, the flow network
+// or a goroutine-backed process body ends the run wherever it happens: the
+// engine releases its goroutines and RunContext re-raises the panic value
+// on its caller, so the caller's isolation layer sees it.
+//
 // On any return the engine has released every goroutine it created;
 // a non-nil error leaves the simulation state unusable (create a fresh
 // engine per run, as every caller in this repository already does).
-//
-// Between the last event of a timestamp and the first event of the next,
-// the loop flushes any pending flow-network changes: admissions
-// accumulated at the current time are settled and filled in one batch
-// (see FlowNet.flush).
 func (e *Engine) RunContext(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return e.cancel(err)
+	e.ctx = ctx
+	if e.stopCause = ctx.Err(); e.stopCause == nil {
+		// Run the event loop here until control first leaves this
+		// goroutine, then wait for whoever holds it when the run ends.
+		e.pass(e.next())
+		<-e.yield
 	}
-	// A panic on the scheduler side (an event callback, a lightweight
-	// process's continuation, the flow network) must not strand the
-	// engine's parked goroutines: release them, then let the panic
-	// propagate to the caller's isolation layer.
-	defer func() {
-		if r := recover(); r != nil {
-			e.abort()
-			panic(r)
-		}
-	}()
-	for {
-		if e.net.dirty && (len(e.queue) == 0 || e.queue[0].at > e.now) {
-			e.net.flush()
-			continue // the flush schedules the next completion event
-		}
-		if len(e.queue) == 0 {
-			break
-		}
-		ev := e.queue.pop()
-		if ev.at < e.now {
-			panic("sim: time went backwards")
-		}
-		e.now = ev.at
-		if e.MaxTime > 0 && e.now > e.MaxTime {
-			panic(fmt.Sprintf("sim: exceeded MaxTime %g", e.MaxTime))
-		}
-		e.statEvents++
-		if e.statEvents%ctxCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return e.cancel(err)
-			}
-		}
-		switch ev.kind {
-		case evResume:
-			e.resume(ev.proc)
-		case evFlowCheck:
-			e.net.completionCheck(ev.gen)
-		default:
-			ev.fire()
-		}
-	}
-	if e.liveProcs > 0 {
+	var err error
+	switch {
+	case e.failure != nil: // re-raised after the abort below
+	case e.stopCause != nil:
+		err = &CanceledError{Time: e.now, Cause: e.stopCause}
+	case e.liveProcs > 0:
 		blocked := make([]BlockedProc, 0, len(e.blockedProcs))
 		for p, why := range e.blockedProcs {
 			blocked = append(blocked, BlockedProc{Name: p.name, Wait: why})
 		}
 		sort.Slice(blocked, func(i, j int) bool { return blocked[i].Name < blocked[j].Name })
-		err := &DeadlockError{Time: e.now, Live: e.liveProcs, Blocked: blocked}
-		e.abort()
-		return err
+		err = &DeadlockError{Time: e.now, Live: e.liveProcs, Blocked: blocked}
+	default:
+		e.shutdown()
+		return nil
 	}
-	e.shutdown()
-	return nil
-}
-
-// cancel aborts a canceled run and wraps the context error.
-func (e *Engine) cancel(cause error) error {
-	err := &CanceledError{Time: e.now, Cause: cause}
 	e.abort()
+	if e.failure != nil {
+		panic(e.failure)
+	}
 	return err
 }
 
-// abort unwinds every live process and releases all worker goroutines.
-// Live processes are parked on their wake channels in one of two places:
-// blocked inside block() (tracked in blockedProcs), or waiting for their
-// start resume event (still in the queue as evResume). Waking them with
-// killing set makes block() unwind via procKilled and makes the worker
-// skip never-started bodies, so liveProcs drains to zero without running
-// any further simulation.
+// abort unwinds every live process and releases all worker goroutines. It
+// runs on the RunContext caller, which holds control once the run has
+// ended. Live processes are parked on their wake channels in one of two
+// places: blocked inside block() (tracked in blockedProcs), or waiting for
+// their start resume event (still in the queue as evResume). Waking them
+// with killing set makes block() unwind via procKilled and makes the
+// worker skip never-started bodies; either way the worker passes control
+// straight back, so liveProcs drains to zero without running any further
+// simulation.
 func (e *Engine) abort() {
 	e.killing = true
 	for len(e.queue) > 0 {

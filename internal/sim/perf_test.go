@@ -166,8 +166,9 @@ func BenchmarkEventSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkProcHandoff measures a full block/resume round trip: one
-// zero-length sleep per iteration.
+// BenchmarkProcHandoff measures a lone process's block/resume cycle: one
+// zero-length sleep per iteration. The event loop runs on the process's
+// own goroutine and resumes it there, so the cycle makes no handoff.
 func BenchmarkProcHandoff(b *testing.B) {
 	e := NewEngine()
 	n := b.N
@@ -176,6 +177,24 @@ func BenchmarkProcHandoff(b *testing.B) {
 			p.Sleep(0)
 		}
 	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkProcSwitch measures a switch between two goroutine-backed
+// processes whose sleeps interleave: every resume hands control to the
+// other goroutine. One iteration is one resume.
+func BenchmarkProcSwitch(b *testing.B) {
+	e := NewEngine()
+	for k := 0; k < 2; k++ {
+		n := (b.N + 1 - k) / 2
+		e.Spawn("switch", func(p *Proc) {
+			for i := 0; i < n; i++ {
+				p.Sleep(1)
+			}
+		})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()

@@ -81,13 +81,13 @@ func TestParseGridRankRanges(t *testing.T) {
 
 func TestParseGridErrors(t *testing.T) {
 	for _, bad := range []string{
-		"",                                     // no dimensions
-		"workloads=cg",                         // missing systems/ranks
-		"workloads=cg;systems=tiger;ranks=0",   // bad rank
-		"workloads=cg;systems=tiger;ranks=x",   // unparseable rank
-		"workloads=cg;systems=tiger;ranks=4..2",   // inverted range
-		"workloads=cg;systems=tiger;ranks=0..4",   // range below 1
-		"workloads=cg;systems=tiger;ranks=1..x",   // unparseable range end
+		"",                                                 // no dimensions
+		"workloads=cg",                                     // missing systems/ranks
+		"workloads=cg;systems=tiger;ranks=0",               // bad rank
+		"workloads=cg;systems=tiger;ranks=x",               // unparseable rank
+		"workloads=cg;systems=tiger;ranks=4..2",            // inverted range
+		"workloads=cg;systems=tiger;ranks=0..4",            // range below 1
+		"workloads=cg;systems=tiger;ranks=1..x",            // unparseable range end
 		"workloads=cg;systems=tiger;ranks=2;schemes=bogus", // unknown scheme
 		"wibble=1;workloads=cg;systems=tiger;ranks=2",      // unknown section
 		"workloads=;systems=tiger;ranks=2",                 // empty value
