@@ -1,6 +1,8 @@
 package sweepd
 
 import (
+	"container/list"
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -122,6 +124,7 @@ type cellState struct {
 	prio   int // max priority across referencing sweeps
 	worker string
 	expiry time.Time
+	lease  *list.Element // entry in Coordinator.leases while cellLeased
 	result *CellResult
 	sweeps []*sweepState // live sweeps awaiting this cell
 }
@@ -215,6 +218,7 @@ type Coordinator struct {
 	mu         sync.Mutex
 	cells      map[string]*cellState
 	queue      *fairQueue
+	leases     *list.List // leased cells in expiry order (see popLocked)
 	sweeps     map[string]*sweepState
 	sweepOrder []string
 	workers    map[string]*workerState
@@ -241,6 +245,7 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 		est:     analytic.New(),
 		cells:   map[string]*cellState{},
 		queue:   newFairQueue(),
+		leases:  list.New(),
 		sweeps:  map[string]*sweepState{},
 		workers: map[string]*workerState{},
 		domains: map[string]*domainState{},
@@ -493,14 +498,17 @@ func (c *Coordinator) signalLocked() {
 
 // reapExpiredLocked re-queues (or, past the attempt budget, fails) every
 // leased cell whose worker stopped heartbeating, charging the expiry to
-// the worker's failure domain. Callers hold c.mu.
+// the worker's failure domain. The lease list is in expiry order, so
+// reaping stops at the first live lease. Callers hold c.mu.
 func (c *Coordinator) reapExpiredLocked() {
 	now := time.Now()
 	woke := false
-	for id, st := range c.cells {
-		if st.state != cellLeased || now.Before(st.expiry) {
-			continue
+	for e := c.leases.Front(); e != nil; e = c.leases.Front() {
+		st := e.Value.(*cellState)
+		if now.Before(st.expiry) {
+			break
 		}
+		id := st.asg.ID
 		c.opts.Logf("lease expired: cell %s attempt %d on worker %s", id, st.asg.Attempt, st.worker)
 		c.chargeDomainLocked(st.worker, now)
 		if st.asg.Attempt >= c.opts.MaxAttempts {
@@ -510,14 +518,28 @@ func (c *Coordinator) reapExpiredLocked() {
 			c.finalizeLocked(id, st, res)
 			continue
 		}
-		st.state = cellQueued
-		st.worker = ""
-		c.queue.push(id, st.prio)
+		c.requeueLocked(st)
 		woke = true
 	}
 	if woke {
 		c.signalLocked()
 	}
+}
+
+// requeueLocked returns a leased cell to the fair queue. Callers hold
+// c.mu and wake the long-pollers.
+func (c *Coordinator) requeueLocked(st *cellState) {
+	c.unleaseLocked(st)
+	st.state = cellQueued
+	st.worker = ""
+	c.queue.push(st.asg.ID, st.prio)
+}
+
+// unleaseLocked takes a cell that is leaving cellLeased off the lease
+// list. Callers hold c.mu.
+func (c *Coordinator) unleaseLocked(st *cellState) {
+	c.leases.Remove(st.lease)
+	st.lease = nil
 }
 
 // maxQuarantineBackoff caps the exponential quarantine growth at 16x
@@ -608,6 +630,14 @@ func (c *Coordinator) dropSweepLocked(token string, sw *sweepState) {
 // notifies every referencing sweep, and evicts the state once no sweep
 // references it. Callers hold c.mu.
 func (c *Coordinator) finalizeLocked(id string, st *cellState, res CellResult) {
+	switch st.state {
+	case cellLeased:
+		c.unleaseLocked(st)
+	case cellQueued:
+		// A completion that outlived its lease: the first result wins, so
+		// the queued re-run is withdrawn.
+		c.queue.remove(id)
+	}
 	st.state = cellDone
 	st.result = &res
 	c.doneCells++
@@ -1118,7 +1148,11 @@ func (c *Coordinator) popLocked(worker string) *Assignment {
 		}
 		st.state = cellLeased
 		st.worker = worker
+		// Every lease and renewal sets expiry to now+Lease under c.mu
+		// and moves the cell to the back of c.leases, which therefore
+		// stays in expiry order.
 		st.expiry = time.Now().Add(c.opts.Lease)
+		st.lease = c.leases.PushBack(st)
 		st.asg.Attempt++
 		c.journalLocked(journalRecord{T: "lease", ID: id, Attempt: st.asg.Attempt})
 		asg := st.asg
@@ -1134,7 +1168,15 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 	if !c.knownWorker(w, req.Worker) {
 		return
 	}
-	wait := time.Duration(req.WaitMillis) * time.Millisecond
+	writeJSON(w, c.leaseNext(r.Context(), req.Worker, req.WaitMillis))
+}
+
+// leaseNext long-polls for the worker's next cell for up to waitMillis
+// (capped at PollWait): it returns an assignment as soon as one is
+// queued, a retry hint while the worker's failure domain is
+// quarantined, and an empty response once the wait passes or ctx ends.
+func (c *Coordinator) leaseNext(ctx context.Context, worker string, waitMillis int64) PollResponse {
+	wait := time.Duration(waitMillis) * time.Millisecond
 	if wait <= 0 || wait > c.opts.PollWait {
 		wait = c.opts.PollWait
 	}
@@ -1142,37 +1184,35 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 	for {
 		c.mu.Lock()
 		c.reapExpiredLocked()
-		if q := c.quarantinedLocked(req.Worker, time.Now()); q > 0 {
+		if q := c.quarantinedLocked(worker, time.Now()); q > 0 {
 			c.mu.Unlock()
-			writeJSON(w, PollResponse{RetryAfterMillis: q.Milliseconds() + 1})
-			return
+			return PollResponse{RetryAfterMillis: q.Milliseconds() + 1}
 		}
-		asg := c.popLocked(req.Worker)
+		asg := c.popLocked(worker)
 		wake := c.wake
 		c.mu.Unlock()
 		if asg != nil {
-			c.opts.Logf("leased cell %s attempt %d to %s", asg.ID, asg.Attempt, req.Worker)
-			writeJSON(w, PollResponse{Assignment: asg})
-			return
+			c.opts.Logf("leased cell %s attempt %d to %s", asg.ID, asg.Attempt, worker)
+			return PollResponse{Assignment: asg}
 		}
 		remain := time.Until(deadline)
 		if remain <= 0 {
-			writeJSON(w, PollResponse{})
-			return
+			return PollResponse{}
 		}
 		t := time.NewTimer(remain)
 		select {
 		case <-wake:
 			t.Stop()
 		case <-t.C:
-		case <-r.Context().Done():
+		case <-ctx.Done():
 			t.Stop()
-			writeJSON(w, PollResponse{})
-			return
+			return PollResponse{}
 		}
 	}
 }
 
+// handleComplete finalizes a reported cell and, when the request sets
+// WaitMillis, leases the worker's next cell in the same reply.
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
 	if !decode(w, r, &req) {
@@ -1182,7 +1222,18 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.completeLocked(req)
+	c.mu.Unlock()
+	if req.WaitMillis > 0 {
+		writeJSON(w, c.leaseNext(r.Context(), req.Worker, req.WaitMillis))
+		return
+	}
+	writeJSON(w, struct{}{})
+}
+
+// completeLocked applies one worker's result for a cell. Callers hold
+// c.mu.
+func (c *Coordinator) completeLocked(req CompleteRequest) {
 	// Any completed cell is evidence the domain works; reset its expiry
 	// streak and backoff.
 	if ws, ok := c.workers[req.Worker]; ok {
@@ -1201,7 +1252,6 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 			c.opts.Logf("DIVERGENT cell %s: finalized %s vs %s from %s",
 				req.ID, fp, req.Result.Fingerprint, req.Worker)
 		}
-		writeJSON(w, struct{}{})
 		return
 	}
 	if st.state == cellDone {
@@ -1213,7 +1263,6 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 			c.opts.Logf("DIVERGENT cell %s: %s from %s vs %s from %s",
 				req.ID, st.result.Fingerprint, st.result.Worker, req.Result.Fingerprint, req.Worker)
 		}
-		writeJSON(w, struct{}{})
 		return
 	}
 	res := req.Result
@@ -1222,17 +1271,16 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if res.Status == StatusError && res.Transient && st.asg.Attempt < c.opts.MaxAttempts {
 		// Transient failure with budget left: re-lease, possibly to a
 		// different worker. Deterministic failures finalize immediately —
-		// they repeat identically anywhere.
+		// they repeat identically anywhere. A cell whose lease already
+		// expired is queued already.
 		c.opts.Logf("transient failure on cell %s attempt %d (%s); re-queueing", req.ID, req.Attempt, res.Error)
-		st.state = cellQueued
-		st.worker = ""
-		c.queue.push(req.ID, st.prio)
-		c.signalLocked()
-		writeJSON(w, struct{}{})
+		if st.state == cellLeased {
+			c.requeueLocked(st)
+			c.signalLocked()
+		}
 		return
 	}
 	c.finalizeLocked(req.ID, st, res)
-	writeJSON(w, struct{}{})
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -1249,6 +1297,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		st, ok := c.cells[id]
 		if ok && st.state == cellLeased && st.worker == req.Worker {
 			st.expiry = time.Now().Add(c.opts.Lease)
+			c.leases.MoveToBack(st.lease)
 		} else {
 			resp.Lost = append(resp.Lost, id)
 		}

@@ -203,17 +203,22 @@ type Assignment struct {
 // PollResponse carries at most one assignment; nil means "no work yet,
 // poll again". RetryAfterMillis, when set, means the worker's failure
 // domain is quarantined: the worker must not poll again for that long.
+// It is also the reply to a CompleteRequest that sets WaitMillis.
 type PollResponse struct {
 	Assignment       *Assignment `json:"assignment,omitempty"`
 	RetryAfterMillis int64       `json:"retry_after_millis,omitempty"`
 }
 
-// CompleteRequest reports a finished cell.
+// CompleteRequest reports a finished cell. With WaitMillis set the
+// request also asks for the worker's next lease: the coordinator
+// finalizes the result, long-polls as PollRequest does, and replies with
+// a PollResponse. Without it the reply is an empty object.
 type CompleteRequest struct {
-	Worker  string     `json:"worker"`
-	ID      string     `json:"id"`
-	Attempt int        `json:"attempt"`
-	Result  CellResult `json:"result"`
+	Worker     string     `json:"worker"`
+	ID         string     `json:"id"`
+	Attempt    int        `json:"attempt"`
+	Result     CellResult `json:"result"`
+	WaitMillis int64      `json:"wait_millis,omitempty"`
 }
 
 // HeartbeatRequest renews the worker's leases on the named cells.

@@ -41,7 +41,8 @@ type WorkerOptions struct {
 	// (see experiments.Options.SettleWorkers).
 	SettleWorkers int
 	// Client is the HTTP client; nil uses a default with a timeout above
-	// the coordinator's poll window.
+	// the coordinator's poll window that keeps an idle connection for
+	// every slot and the heartbeat.
 	Client *http.Client
 	// Logf receives worker events; nil discards them.
 	Logf func(format string, args ...any)
@@ -59,12 +60,14 @@ type Worker struct {
 	client *http.Client
 	logf   func(string, ...any)
 
+	st *store.Store
+
+	// mu guards the registration, which a slot renews when a restarted
+	// coordinator has forgotten this worker, and the in-flight set.
+	mu          sync.Mutex
 	id          string
 	leaseMillis int64
-	st          *store.Store
-
-	mu       sync.Mutex
-	inflight map[string]context.CancelFunc // leased cell id -> abort
+	inflight    map[string]context.CancelFunc // leased cell id -> abort
 
 	cellsRun  atomic.Int64
 	storeHits atomic.Int64
@@ -85,7 +88,12 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 		inflight: map[string]context.CancelFunc{},
 	}
 	if w.client == nil {
-		w.client = &http.Client{Timeout: 60 * time.Second}
+		// The default transport keeps two idle connections per host; a
+		// worker needs one per slot plus the heartbeat's, or requests
+		// past the second open a new connection each.
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = opts.Parallelism + 1
+		w.client = &http.Client{Timeout: 60 * time.Second, Transport: tr}
 	}
 	if w.logf == nil {
 		w.logf = func(string, ...any) {}
@@ -120,13 +128,15 @@ func (w *Worker) post(ctx context.Context, path string, req, resp any) error {
 	if err != nil {
 		return err
 	}
-	defer hresp.Body.Close()
+	// A reply read to its end lets the transport reuse the connection;
+	// one closed early costs the next request a new connection.
+	defer func() {
+		io.Copy(io.Discard, hresp.Body)
+		hresp.Body.Close()
+	}()
 	if hresp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(hresp.Body, 1024))
 		return &httpError{code: hresp.StatusCode, msg: fmt.Sprintf("sweepd: %s: %s", path, bytes.TrimSpace(msg))}
-	}
-	if resp == nil {
-		return nil
 	}
 	return json.NewDecoder(hresp.Body).Decode(resp)
 }
@@ -147,9 +157,10 @@ func (w *Worker) register(ctx context.Context) error {
 		var resp RegisterResponse
 		err := w.post(ctx, PathRegister, RegisterRequest{SchemaVersion: schema.Version, Name: w.opts.Name, Domain: w.opts.Domain}, &resp)
 		if err == nil {
-			w.id = resp.Worker
-			w.leaseMillis = resp.LeaseMillis
-			w.logf("registered as %s (lease %dms)", w.id, w.leaseMillis)
+			w.mu.Lock()
+			w.id, w.leaseMillis = resp.Worker, resp.LeaseMillis
+			w.mu.Unlock()
+			w.logf("registered as %s (lease %dms)", resp.Worker, resp.LeaseMillis)
 			return nil
 		}
 		if httpCode(err) == http.StatusBadRequest {
@@ -169,6 +180,13 @@ func (w *Worker) register(ctx context.Context) error {
 	}
 }
 
+// workerID is the ID of the worker's latest registration.
+func (w *Worker) workerID() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.id
+}
+
 // httpCode extracts the status code of a coordinator error response;
 // 0 means a transport-level failure.
 func httpCode(err error) int {
@@ -182,6 +200,7 @@ func httpCode(err error) int {
 // on Parallelism concurrent slots; a heartbeat goroutine renews every
 // in-flight lease and aborts runs whose lease the coordinator took away.
 func (w *Worker) Run(ctx context.Context) error {
+	defer w.client.CloseIdleConnections()
 	if err := w.register(ctx); err != nil {
 		return err
 	}
@@ -201,80 +220,95 @@ func (w *Worker) Run(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// slotLoop is one poll→run→complete loop.
+// pollWaitMillis is how long a worker asks the coordinator to hold a
+// poll, or a completion that also leases, open while no cell is queued.
+const pollWaitMillis = 5000
+
+// slotLoop is one slot's poll→run→complete loop. A completion also asks
+// for the slot's next lease, so a busy slot costs one request per cell;
+// the slot polls only when a reply carries no assignment.
 func (w *Worker) slotLoop(ctx context.Context) {
+	var next PollResponse
 	for ctx.Err() == nil {
-		var resp PollResponse
-		err := w.post(ctx, PathPoll, PollRequest{Worker: w.id, WaitMillis: 5000}, &resp)
-		if err != nil {
-			if ctx.Err() != nil {
-				return
-			}
-			if httpCode(err) == http.StatusNotFound {
-				// Coordinator restarted and forgot us; re-register.
-				if rerr := w.register(ctx); rerr != nil {
-					return
-				}
-				continue
-			}
-			w.logf("poll failed: %v", err)
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(500 * time.Millisecond):
-			}
+		if next.Assignment != nil {
+			next = w.runAssignment(ctx, *next.Assignment)
 			continue
 		}
-		if resp.RetryAfterMillis > 0 {
+		if next.RetryAfterMillis > 0 {
 			// Our failure domain is quarantined: back off instead of
 			// hammering the coordinator with polls it will refuse.
-			w.logf("domain quarantined; backing off %dms", resp.RetryAfterMillis)
-			t := time.NewTimer(time.Duration(resp.RetryAfterMillis) * time.Millisecond)
+			w.logf("domain quarantined; backing off %dms", next.RetryAfterMillis)
+			t := time.NewTimer(time.Duration(next.RetryAfterMillis) * time.Millisecond)
 			select {
 			case <-ctx.Done():
 				t.Stop()
 				return
 			case <-t.C:
 			}
+		}
+		next = PollResponse{}
+		err := w.post(ctx, PathPoll, PollRequest{Worker: w.workerID(), WaitMillis: pollWaitMillis}, &next)
+		if err == nil {
 			continue
 		}
-		if resp.Assignment == nil {
+		next = PollResponse{}
+		if ctx.Err() != nil {
+			return
+		}
+		if httpCode(err) == http.StatusNotFound {
+			// Coordinator restarted and forgot us; re-register.
+			if rerr := w.register(ctx); rerr != nil {
+				return
+			}
 			continue
 		}
-		w.runAssignment(ctx, *resp.Assignment)
+		w.logf("poll failed: %v", err)
+		select {
+		case <-ctx.Done():
+			return
+		case <-time.After(500 * time.Millisecond):
+		}
 	}
 }
 
-// runAssignment executes one leased cell and reports it. A run aborted
-// by cancellation (worker shutdown or a lost lease) is never reported:
-// cancellation describes this worker stopping, not the cell, and the
-// coordinator will re-lease the cell elsewhere.
-func (w *Worker) runAssignment(ctx context.Context, asg Assignment) {
+// runAssignment executes one leased cell and reports it, returning the
+// coordinator's reply, which carries the slot's next lease when one is
+// queued. A run aborted by cancellation (worker shutdown or a lost
+// lease) is never reported: cancellation describes this worker stopping,
+// not the cell, and the coordinator will re-lease the cell elsewhere.
+func (w *Worker) runAssignment(ctx context.Context, asg Assignment) PollResponse {
 	cellCtx, cancel := context.WithCancel(ctx)
 	w.mu.Lock()
 	w.inflight[asg.ID] = cancel
 	w.mu.Unlock()
-	defer func() {
-		w.mu.Lock()
-		delete(w.inflight, asg.ID)
-		w.mu.Unlock()
-		cancel()
-	}()
 
 	if w.opts.beforeCell != nil {
 		w.opts.beforeCell(asg)
 	}
 	res, canceled := w.executeCell(cellCtx, asg)
+	abort := cellCtx.Err()
+	// The cell leaves the in-flight set before it is reported: the report
+	// may wait for the next lease, and a heartbeat naming a finished cell
+	// would come back lost.
+	w.mu.Lock()
+	delete(w.inflight, asg.ID)
+	w.mu.Unlock()
+	cancel()
 	if canceled {
-		w.logf("cell %s attempt %d aborted (%s)", asg.ID, asg.Attempt, cellCtx.Err())
-		return
+		w.logf("cell %s attempt %d aborted (%s)", asg.ID, asg.Attempt, abort)
+		return PollResponse{}
 	}
-	res.Worker = w.id
+	res.Worker = w.workerID()
+	var next PollResponse
 	if err := w.post(ctx, PathComplete, CompleteRequest{
-		Worker: w.id, ID: asg.ID, Attempt: asg.Attempt, Result: res,
-	}, nil); err != nil && ctx.Err() == nil {
-		w.logf("reporting cell %s failed: %v", asg.ID, err)
+		Worker: res.Worker, ID: asg.ID, Attempt: asg.Attempt, Result: res, WaitMillis: pollWaitMillis,
+	}, &next); err != nil {
+		if ctx.Err() == nil {
+			w.logf("reporting cell %s failed: %v", asg.ID, err)
+		}
+		return PollResponse{}
 	}
+	return next
 }
 
 // executeCell wraps experiments.Runner around one cell. Each assignment
@@ -334,7 +368,9 @@ func (w *Worker) executeCell(ctx context.Context, asg Assignment) (CellResult, b
 // heartbeatLoop renews every in-flight lease at a third of the lease
 // interval and aborts cells the coordinator re-assigned away.
 func (w *Worker) heartbeatLoop(ctx context.Context) {
+	w.mu.Lock()
 	interval := time.Duration(w.leaseMillis) * time.Millisecond / 3
+	w.mu.Unlock()
 	if interval < 10*time.Millisecond {
 		interval = 10 * time.Millisecond
 	}
@@ -347,6 +383,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 		case <-t.C:
 		}
 		w.mu.Lock()
+		self := w.id
 		ids := make([]string, 0, len(w.inflight))
 		for id := range w.inflight {
 			ids = append(ids, id)
@@ -356,7 +393,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 			continue
 		}
 		var resp HeartbeatResponse
-		if err := w.post(ctx, PathHeartbeat, HeartbeatRequest{Worker: w.id, IDs: ids}, &resp); err != nil {
+		if err := w.post(ctx, PathHeartbeat, HeartbeatRequest{Worker: self, IDs: ids}, &resp); err != nil {
 			if ctx.Err() == nil {
 				w.logf("heartbeat failed: %v", err)
 			}
