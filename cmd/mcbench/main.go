@@ -5,7 +5,7 @@
 //
 //	mcbench [-scale quick|full] [-format text|md|csv] [-out DIR] [-j N]
 //	        [-store DIR] [-resume] [-timeout D] [-json FILE] [-delta FILE]
-//	        [-delta-tol F] [-settle N] [-faults PLAN] [-fault-seed N]
+//	        [-delta-tol F] [-faults PLAN] [-fault-seed N]
 //	        [-retries N] <id>...|all|list
 //	mcbench -sweep GRID [-remote URL] [-priority N] [-client ID]
 //	        [-screen] [-promote-margin F]
@@ -87,7 +87,6 @@ func main() {
 	jsonOut := flag.String("json", "", "write per-experiment benchmark records (wall time, events, settles, allocs, ranks, peak heap) to FILE; runs experiments serially")
 	deltaFile := flag.String("delta", "", "with -json: compare the new records against the committed snapshot FILE and fail on a >10% wall-time or allocation regression")
 	note := flag.String("note", "", "free-form note recorded in the -json output")
-	settle := flag.Int("settle", 0, "per-cell parallel settle workers; >1 opts into component-mode settling (0/1 = serial union settling)")
 	faults := flag.String("faults", "", `deterministic fault plan injected into every cell, e.g. "noise:core=3,period=1ms,frac=0.1;linkdown:s0-s1,t=2ms..5ms"`)
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the fault plan's random draws (phases, cell failures)")
 	retries := flag.Int("retries", 0, "re-attempts per cell that fails with a transient fault (0 = no retry)")
@@ -151,13 +150,12 @@ func main() {
 		fatalf("-screen-bench must be non-negative")
 	}
 	opts := experiments.Options{
-		Parallelism:   *jobs,
-		Resume:        *resume,
-		CellTimeout:   *timeout,
-		TraceDir:      *traceDir,
-		Retries:       *retries,
-		RetryBackoff:  100 * time.Millisecond,
-		SettleWorkers: *settle,
+		Parallelism:  *jobs,
+		Resume:       *resume,
+		CellTimeout:  *timeout,
+		TraceDir:     *traceDir,
+		Retries:      *retries,
+		RetryBackoff: 100 * time.Millisecond,
 	}
 	if *faults != "" {
 		plan, err := fault.Parse(*faults, *faultSeed)

@@ -75,7 +75,6 @@ func main() {
 	faults := flag.String("faults", "", `deterministic fault plan, e.g. "noise:core=3,period=1ms,frac=0.1;linkdown:s0-s1,t=2ms..5ms"`)
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the fault plan's random draws")
 	retries := flag.Int("retries", 0, "re-attempts when the run fails with a transient fault (0 = no retry)")
-	settle := flag.Int("settle", 0, "parallel settle workers; >1 opts into component-mode settling (0/1 = serial union settling)")
 	flag.Parse()
 
 	sch, err := affinity.ParseScheme(*scheme)
@@ -109,14 +108,13 @@ func main() {
 		fatalf("unknown net %q", *netName)
 	}
 	job := core.Job{
-		System:        *system,
-		Ranks:         *ranks,
-		Scheme:        sch,
-		Impl:          im,
-		Nodes:         *nodes,
-		Net:           net,
-		Observe:       *stats || *trace != "",
-		SettleWorkers: *settle,
+		System:  *system,
+		Ranks:   *ranks,
+		Scheme:  sch,
+		Impl:    im,
+		Nodes:   *nodes,
+		Net:     net,
+		Observe: *stats || *trace != "",
 	}
 	if *trace != "" {
 		job.Trace = &sim.Trace{}

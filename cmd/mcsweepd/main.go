@@ -72,7 +72,6 @@ func main() {
 	name := flag.String("name", "", "worker mode: label reported to the coordinator (default: hostname)")
 	domain := flag.String("domain", "", "worker mode: failure-domain label (default: hostname)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "worker mode: cells simulated concurrently; stress mode: worker slots")
-	settle := flag.Int("settle", 0, "worker mode: per-cell parallel settle workers (see mcbench -settle)")
 	stateDir := flag.String("state", "", "coordinator/stress mode: durable state directory (journal + snapshot); empty = in-memory only")
 	lease := flag.Duration("lease", 15*time.Second, "coordinator mode: lease duration workers must heartbeat within")
 	maxAttempts := flag.Int("max-attempts", 5, "coordinator mode: lease assignments per cell before it fails")
@@ -164,13 +163,12 @@ func main() {
 		*domain = host
 	}
 	w, err := sweepd.NewWorker(sweepd.WorkerOptions{
-		Coordinator:   *worker,
-		Store:         *storeDir,
-		Name:          *name,
-		Domain:        *domain,
-		Parallelism:   *jobs,
-		SettleWorkers: *settle,
-		Logf:          logf,
+		Coordinator: *worker,
+		Store:       *storeDir,
+		Name:        *name,
+		Domain:      *domain,
+		Parallelism: *jobs,
+		Logf:        logf,
 	})
 	if err != nil {
 		fatalf("%v", err)

@@ -54,11 +54,6 @@ type Job struct {
 	// controllers, straggler ranks, message delays. Nil keeps the run
 	// byte-identical to the idealized fault-free machine.
 	Faults mpi.Perturb
-	// SettleWorkers, when > 1, opts the engine into component-mode
-	// parallel flow settling with at most that many workers — the scale
-	// knob for 10k+-rank cells. 0 or 1 keeps the legacy serial union
-	// settling (see sim.Engine.SetSettleWorkers for the exact contract).
-	SettleWorkers int
 }
 
 // resolve returns the machine spec for the job.
@@ -108,7 +103,6 @@ func RunContext(ctx context.Context, j Job, body func(*mpi.Rank)) (*mpi.Result, 
 		Trace:         j.Trace,
 		Observe:       j.Observe,
 		Faults:        j.Faults,
-		SettleWorkers: j.SettleWorkers,
 	}
 	if j.BufMode != nil {
 		cfg.BufMode = *j.BufMode

@@ -23,14 +23,13 @@ func ringHalo(steps int, bytes float64) func(*mpi.Rank) {
 }
 
 // scaleJob is a Longs cluster sized to total ranks (16 ranks per node).
-func scaleJob(totalRanks, settleWorkers int) Job {
+func scaleJob(totalRanks int) Job {
 	return Job{
-		System:        "longs",
-		Ranks:         16,
-		Nodes:         totalRanks / 16,
-		Net:           mpi.RapidArray(),
-		Impl:          mpi.MPICH2(),
-		SettleWorkers: settleWorkers,
+		System: "longs",
+		Ranks:  16,
+		Nodes:  totalRanks / 16,
+		Net:    mpi.RapidArray(),
+		Impl:   mpi.MPICH2(),
 	}
 }
 
@@ -41,9 +40,9 @@ func fingerprint(res *mpi.Result) [3]uint64 {
 }
 
 // TestScaleSmoke10kRanks: a 10240-rank Longs-cluster ring halo must
-// complete, reproduce bit-identically across runs and settle-worker
-// counts, and stay within a flat per-rank memory budget — the engine
-// scale-up contract. Skipped under -short.
+// complete, reproduce bit-identically across runs, and stay within a
+// flat per-rank memory budget — the engine scale-up contract. Skipped
+// under -short.
 func TestScaleSmoke10kRanks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-rank smoke test skipped in -short mode")
@@ -66,7 +65,7 @@ func TestScaleSmoke10kRanks(t *testing.T) {
 			}
 		}
 	}
-	res, err := Run(scaleJob(totalRanks, 0), body)
+	res, err := Run(scaleJob(totalRanks), body)
 	if err != nil {
 		t.Fatalf("10k-rank cell failed: %v", err)
 	}
@@ -96,50 +95,12 @@ func TestScaleSmoke10kRanks(t *testing.T) {
 			stackPerRank)
 	}
 
-	// Determinism: a second serial run and component-mode runs at two
-	// different worker counts must all produce the same bits.
-	base := fingerprint(res)
-	again, err := Run(scaleJob(totalRanks, 0), ringHalo(3, 4096))
+	// Determinism: a second run must produce the same bits.
+	again, err := Run(scaleJob(totalRanks), ringHalo(3, 4096))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fingerprint(again) != base {
-		t.Errorf("serial rerun fingerprint %v, want %v", fingerprint(again), base)
-	}
-	for _, workers := range []int{2, 8} {
-		par, err := Run(scaleJob(totalRanks, workers), ringHalo(3, 4096))
-		if err != nil {
-			t.Fatalf("settle=%d: %v", workers, err)
-		}
-		if workers == 2 {
-			base = fingerprint(par) // component mode may differ from union by float rounding
-			continue
-		}
-		if fingerprint(par) != base {
-			t.Errorf("settle=%d fingerprint %v differs from settle=2 %v", workers, fingerprint(par), base)
-		}
-	}
-}
-
-// TestSettleModesAgreeRounded: union and component settling solve the
-// same max-min program, so their makespans agree to table precision
-// (they may differ in the last float ULPs — the golden hashes pin union
-// mode, which stays the default).
-func TestSettleModesAgreeRounded(t *testing.T) {
-	serial, err := Run(scaleJob(256, 0), ringHalo(3, 4096))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Run(scaleJob(256, 4), ringHalo(3, 4096))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Messages != parallel.Messages || serial.Bytes != parallel.Bytes {
-		t.Errorf("traffic differs across settle modes: %d/%.0f vs %d/%.0f",
-			serial.Messages, serial.Bytes, parallel.Messages, parallel.Bytes)
-	}
-	if d := math.Abs(serial.Time - parallel.Time); d > 1e-9*math.Max(serial.Time, 1) {
-		t.Errorf("makespan differs across settle modes beyond rounding: %.17g vs %.17g",
-			serial.Time, parallel.Time)
+	if got, want := fingerprint(again), fingerprint(res); got != want {
+		t.Errorf("rerun fingerprint %v, want %v", got, want)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -216,13 +217,15 @@ func TestRetryExhaustionRendersERR(t *testing.T) {
 	r := NewRunner(nil, Options{
 		Store: st, Faults: plan, Retries: 2, RetryBackoff: time.Microsecond, Parallelism: 4,
 	})
-	attempts := map[int]int{}
+	var targeted atomic.Int64 // simulations of the rank-4 cells; cells run concurrently
 	tab := numactlTable(r, "chaos-err", []sysRanks{{System: "longs", Ranks: []int{2, 4}}},
 		func(system string, ranks int, scheme affinity.Scheme) (float64, error) {
 			return runCell(r, CellKey{
 				Workload: "chaos-err", System: system, Ranks: ranks, Scheme: scheme, Scale: Quick,
 			}, func() (float64, error) {
-				attempts[ranks]++
+				if ranks == 4 {
+					targeted.Add(1)
+				}
 				return float64(ranks), nil
 			})
 		})
@@ -257,8 +260,8 @@ func TestRetryExhaustionRendersERR(t *testing.T) {
 	}
 	// Injected failures preempt the simulation entirely; healthy cells run
 	// exactly once each.
-	if attempts[4] != 0 {
-		t.Errorf("targeted cells simulated %d times despite p=1 injection", attempts[4])
+	if n := targeted.Load(); n != 0 {
+		t.Errorf("targeted cells simulated %d times despite p=1 injection", n)
 	}
 	// Each exhausted cell records its failure exactly once, in memory and
 	// in the store.

@@ -60,19 +60,6 @@ type Options struct {
 	// per attempt with deterministic seeded jitter. Zero retries
 	// immediately.
 	RetryBackoff time.Duration
-	// SettleWorkers, when > 1, opts every cell routed through runJob into
-	// component-mode parallel flow settling with at most that many workers
-	// per cell (mcbench -settle). 0 or 1 keeps the legacy serial union
-	// settling, whose float accumulation the golden artifacts pin.
-	//
-	// Composition with Parallelism is multiplicative — up to Parallelism
-	// cells may each want SettleWorkers fill goroutines — so the engine
-	// backstops the product with a process-wide token budget of
-	// GOMAXPROCS-1 extra settle workers (see sim.Engine.SetSettleWorkers).
-	// A cell that cannot acquire tokens settles with fewer workers without
-	// blocking, and component-mode output is byte-identical for every
-	// worker count, so the shortfall never changes results.
-	SettleWorkers int
 }
 
 // Runner executes experiments: it owns the worker pool, the in-process
@@ -81,10 +68,10 @@ type Options struct {
 // per-experiment -json timing mode get isolation by constructing fresh
 // ones.
 type Runner struct {
-	ctx context.Context
+	ctx  context.Context
+	opts Options // fixed by NewRunner
 
-	mu           sync.Mutex
-	opts         Options
+	mu           sync.Mutex // guards cache, traceWritten and errs
 	cache        map[CellKey]*cacheEntry
 	traceWritten map[string]bool
 	errs         []error
@@ -135,45 +122,6 @@ func (r *Runner) Run(e Experiment, s Scale) (tables []*report.Table, err error) 
 	return tables, nil
 }
 
-// SetParallelism rebounds the worker pool; n < 1 means serial.
-func (r *Runner) SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	r.mu.Lock()
-	r.opts.Parallelism = n
-	r.mu.Unlock()
-}
-
-func (r *Runner) parallelism() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.opts.Parallelism
-}
-
-// SetTraceDir enables per-cell trace capture into dir; "" disables.
-func (r *Runner) SetTraceDir(dir string) {
-	r.mu.Lock()
-	r.opts.TraceDir = dir
-	r.traceWritten = map[string]bool{}
-	r.mu.Unlock()
-}
-
-// ClearCache drops every memoized in-process cell result (the on-disk
-// store, if any, is untouched). Tests use it to force re-simulation.
-func (r *Runner) ClearCache() {
-	r.mu.Lock()
-	r.cache = map[CellKey]*cacheEntry{}
-	r.mu.Unlock()
-}
-
-// CacheSize reports the number of memoized cells.
-func (r *Runner) CacheSize() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.cache)
-}
-
 // CellsRun reports how many cells were actually simulated (store hits
 // and in-process cache hits excluded).
 func (r *Runner) CellsRun() int { return int(r.cellsRun.Load()) }
@@ -207,90 +155,17 @@ func (r *Runner) noteErr(err error) {
 	r.mu.Unlock()
 }
 
-func (r *Runner) store() *store.Store {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.opts.Store
-}
-
-func (r *Runner) resume() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.opts.Resume
-}
-
 // Faults returns the runner's fault plan, nil when unperturbed.
-func (r *Runner) Faults() *fault.Plan {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.opts.Faults
-}
-
-// SettleWorkers reports the per-cell settle-worker bound; 0 or 1 means
-// the legacy serial union settling.
-func (r *Runner) SettleWorkers() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.opts.SettleWorkers
-}
-
-func (r *Runner) retryPolicy() (int, time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.opts.Retries, r.opts.RetryBackoff
-}
+func (r *Runner) Faults() *fault.Plan { return r.opts.Faults }
 
 // jobContext derives the context one cell simulates under: the runner's
 // context, bounded by the per-cell wall-clock timeout when configured.
 func (r *Runner) jobContext() (context.Context, context.CancelFunc) {
-	r.mu.Lock()
-	d := r.opts.CellTimeout
-	r.mu.Unlock()
-	if d > 0 {
+	if d := r.opts.CellTimeout; d > 0 {
 		return context.WithTimeout(r.ctx, d)
 	}
 	return r.ctx, func() {}
 }
-
-// Default returns the process-wide runner backing the deprecated
-// package-level functions (SetParallelism, ClearCache, SetTraceDir). New
-// code should construct its own Runner.
-func Default() *Runner {
-	defaultOnce.Do(func() {
-		defaultRunner = NewRunner(context.Background(), Options{})
-	})
-	return defaultRunner
-}
-
-var (
-	defaultOnce   sync.Once
-	defaultRunner *Runner
-)
-
-// SetParallelism bounds the default runner's worker pool.
-//
-// Deprecated: construct a Runner with Options{Parallelism: n}.
-func SetParallelism(n int) { Default().SetParallelism(n) }
-
-// Parallelism reports the default runner's worker bound.
-//
-// Deprecated: use your own Runner.
-func Parallelism() int { return Default().parallelism() }
-
-// ClearCache drops the default runner's memoized cells.
-//
-// Deprecated: construct a fresh Runner instead.
-func ClearCache() { Default().ClearCache() }
-
-// CacheSize reports the default runner's memoized cell count.
-//
-// Deprecated: use Runner.CacheSize.
-func CacheSize() int { return Default().CacheSize() }
-
-// SetTraceDir enables trace capture on the default runner.
-//
-// Deprecated: construct a Runner with Options{TraceDir: dir}.
-func SetTraceDir(dir string) { Default().SetTraceDir(dir) }
 
 // workerPanic carries a worker goroutine's panic to the caller.
 type workerPanic struct{ v any }
@@ -307,7 +182,7 @@ func parMap[T any](r *Runner, n int, fn func(i int) T) []T {
 	if n == 0 {
 		return out
 	}
-	workers := r.parallelism()
+	workers := r.opts.Parallelism
 	if workers > n {
 		workers = n
 	}
@@ -387,23 +262,15 @@ func (k CellKey) String() string {
 // sim.ModelVersion participates so entries from an older engine
 // generation never alias current results; the runner's fault plan (its
 // canonical string and seed) participates so perturbed results never
-// alias clean ones. Component-mode settling (SettleWorkers > 1) tags the
-// model string: its per-component float accumulation can differ from the
-// union-mode baseline in the last ULPs, so the two must never share
-// entries. The worker count itself is deliberately absent — component
-// mode is byte-identical for every count.
+// alias clean ones.
 func (r *Runner) storeKey(k CellKey) store.Key {
-	model := sim.ModelVersion
-	if r.SettleWorkers() > 1 {
-		model += "+csettle"
-	}
 	sk := store.Key{
 		Workload: k.Workload,
 		System:   k.System,
 		Ranks:    k.Ranks,
 		Scheme:   k.Scheme.String(),
 		Scale:    k.Scale.String(),
-		Model:    model,
+		Model:    sim.ModelVersion,
 	}
 	if plan := r.Faults(); plan != nil {
 		sk.Faults = plan.String()
@@ -459,7 +326,7 @@ func computeCell[T any](r *Runner, key CellKey, fn func() (T, error)) (any, erro
 	if err := r.ctx.Err(); err != nil {
 		return nil, err
 	}
-	st := r.store()
+	st := r.opts.Store
 	sk := r.storeKey(key)
 	if st != nil {
 		if v, err, served := loadCell[T](r, st, key, sk); served {
@@ -505,7 +372,7 @@ func loadCell[T any](r *Runner, st *store.Store, key CellKey, sk store.Key) (any
 		r.storeHits.Add(1)
 		return nil, &affinity.ErrInfeasible{Scheme: key.Scheme, Ranks: key.Ranks, System: key.System}, true
 	case store.StatusError:
-		if r.resume() {
+		if r.opts.Resume {
 			return nil, nil, false // -resume retries recorded failures
 		}
 		r.storeHits.Add(1)
@@ -520,7 +387,7 @@ func loadCell[T any](r *Runner, st *store.Store, key CellKey, sk store.Key) (any
 // outcomes are never persisted — they depend on wall-clock conditions,
 // not on the cell — so the cell re-runs next time.
 func (r *Runner) persistCell(sk store.Key, v any, err error) {
-	st := r.store()
+	st := r.opts.Store
 	var perr error
 	switch {
 	case err == nil:
@@ -548,8 +415,8 @@ func (r *Runner) persistCell(sk store.Key, v any, err error) {
 // exhausted the last transient error is returned: the cell renders as
 // ERR and is recorded once, exactly like any other failed cell.
 func runWithRetries[T any](r *Runner, key CellKey, fn func() (T, error)) (T, error) {
-	plan := r.Faults()
-	retries, backoff := r.retryPolicy()
+	plan := r.opts.Faults
+	retries, backoff := r.opts.Retries, r.opts.RetryBackoff
 	cell := key.String()
 	var seed int64
 	if plan != nil {

@@ -229,13 +229,12 @@ func (r *Runner) runJob(workload, system string, ranks int, scheme affinity.Sche
 	ctx, cancel := r.jobContext()
 	defer cancel()
 	job := core.Job{
-		System:        system,
-		Ranks:         ranks,
-		Scheme:        scheme,
-		Impl:          mpi.MPICH2(),
-		Trace:         tr,
-		Observe:       tr != nil,
-		SettleWorkers: r.SettleWorkers(),
+		System:  system,
+		Ranks:   ranks,
+		Scheme:  scheme,
+		Impl:    mpi.MPICH2(),
+		Trace:   tr,
+		Observe: tr != nil,
 	}
 	// Guarded assignment: a nil *fault.Plan inside the non-nil interface
 	// would still dispatch, losing the fault-free fast paths.

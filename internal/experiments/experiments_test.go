@@ -144,15 +144,18 @@ func TestTable2HasDashesAt16OneMPI(t *testing.T) {
 	}
 }
 
-// mustRun executes an experiment at Quick scale on the shared default
-// runner (its cache keeps cells shared across tests to one simulation).
+// testRunner is shared by mustRun and TestAllExperimentsProduceTables:
+// its cache keeps cells shared across tests to one simulation.
+var testRunner = NewRunner(nil, Options{})
+
+// mustRun executes an experiment at Quick scale on testRunner.
 func mustRun(t *testing.T, id string) []*report.Table {
 	t.Helper()
 	e, ok := ByID(id)
 	if !ok {
 		t.Fatalf("no experiment %q", id)
 	}
-	tabs, err := Default().Run(e, Quick)
+	tabs, err := testRunner.Run(e, Quick)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -177,7 +180,7 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			tabs, err := Default().Run(e, Quick)
+			tabs, err := testRunner.Run(e, Quick)
 			if err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}

@@ -13,9 +13,8 @@ import (
 // exchange (the nearest-neighbour skeleton of the paper's CG/MG stencils)
 // across a cluster of Longs nodes, swept to 10k+ total ranks. The cells
 // exist to exercise and demonstrate the engine's scale envelope — flat
-// per-rank memory, recycled helper processes, and (with -settle N)
-// component-mode parallel settling — so the table reports engine activity
-// alongside the makespan.
+// per-rank memory and recycled helper processes — so the table reports
+// engine activity alongside the makespan.
 func init() {
 	register(Experiment{
 		ID:    "ext-scale",
@@ -64,13 +63,12 @@ func runExtScale(r *Runner, s Scale) []*report.Table {
 		ctx, cancel := r.jobContext()
 		defer cancel()
 		res, err := core.RunContext(ctx, core.Job{
-			System:        "longs",
-			Ranks:         ranksPerNode,
-			Scheme:        affinity.Default,
-			Impl:          mpi.MPICH2(),
-			Nodes:         nodes,
-			Net:           mpi.RapidArray(),
-			SettleWorkers: r.SettleWorkers(),
+			System: "longs",
+			Ranks:  ranksPerNode,
+			Scheme: affinity.Default,
+			Impl:   mpi.MPICH2(),
+			Nodes:  nodes,
+			Net:    mpi.RapidArray(),
 		}, ringHaloBody(steps, haloBytes))
 		if err != nil {
 			panic(err)

@@ -60,9 +60,9 @@ func TestTraceFilesSerialParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestTraceCellDedup checks that a label is captured once per trace-dir
-// epoch: artifacts sharing a cell produce a single file, mirroring the
-// result cache.
+// TestTraceCellDedup checks that a label is captured once per runner:
+// artifacts sharing a cell produce a single file, mirroring the result
+// cache. A runner without a trace directory captures nothing.
 func TestTraceCellDedup(t *testing.T) {
 	dir := t.TempDir()
 	r := NewRunner(nil, Options{TraceDir: dir})
@@ -80,12 +80,7 @@ func TestTraceCellDedup(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "cell-a.trace.json")); err != nil {
 		t.Fatalf("trace file not written: %v", err)
 	}
-	r.SetTraceDir("")
-	if tr4, _ := r.traceCell("cell-c"); tr4 != nil {
+	if tr4, _ := NewRunner(nil, Options{}).traceCell("cell-c"); tr4 != nil {
 		t.Fatal("tracing disabled but capture granted")
-	}
-	r.SetTraceDir(dir)
-	if tr5, _ := r.traceCell("cell-a"); tr5 == nil {
-		t.Fatal("new trace-dir epoch should reset the dedup set")
 	}
 }

@@ -132,12 +132,6 @@ type Config struct {
 	// delays) into the run. Nil — the default — keeps the run
 	// byte-identical to the idealized fault-free machine.
 	Faults Perturb
-	// SettleWorkers, when > 1, opts the engine into component-mode
-	// parallel flow settling with at most that many workers (see
-	// sim.Engine.SetSettleWorkers; output is deterministic and identical
-	// for every value > 1). 0 or 1 keeps the legacy serial union
-	// settling the golden hashes pin.
-	SettleWorkers int
 }
 
 // Result is what a finished job reports.
@@ -280,9 +274,6 @@ func RunContext(ctx context.Context, cfg Config, body func(*Rank)) (*Result, err
 	eng := sim.NewEngine()
 	if cfg.Observe {
 		eng.EnableObservation()
-	}
-	if cfg.SettleWorkers > 1 {
-		eng.SetSettleWorkers(cfg.SettleWorkers)
 	}
 	w := &World{cfg: cfg, eng: eng, values: map[string][]float64{}, trace: cfg.Trace}
 	for nd := 0; nd < nodes; nd++ {

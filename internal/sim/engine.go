@@ -122,12 +122,6 @@ type Engine struct {
 	// observation is off: the observer retains every spawned Proc.
 	freeLight []*Proc
 
-	// settleWorkers selects the settling mode and bounds how many
-	// flow-network components a single flush may fill concurrently (see
-	// FlowNet.fillAll). 1 — the default — keeps the legacy union fill
-	// whose float accumulation the golden hashes pin.
-	settleWorkers int
-
 	net *FlowNet
 
 	// Always-on activity counters (see Stats).
@@ -147,33 +141,11 @@ type Engine struct {
 // NewEngine creates an empty simulation.
 func NewEngine() *Engine {
 	e := &Engine{
-		yield:         make(chan struct{}, 1),
-		blockedProcs:  make(map[*Proc]string),
-		settleWorkers: 1,
+		yield:        make(chan struct{}, 1),
+		blockedProcs: make(map[*Proc]string),
 	}
-	e.net = newFlowNet(e)
+	e.net = &FlowNet{eng: e}
 	return e
-}
-
-// SetSettleWorkers selects the flow-settling mode. n <= 1 — the default —
-// keeps the legacy behavior: one progressive-filling pass per flush over
-// the union of the touched components, the arithmetic the golden trace
-// hashes pin. n > 1 opts into component mode for scale runs: independent
-// components fill concurrently under at most n workers. Component-mode
-// output is deterministic and identical for every n > 1 — the per-
-// component arithmetic never depends on worker count, token availability,
-// or thread timing — but its rates can differ from union mode by float
-// rounding (same max-min solution, different accumulation order), so
-// switching modes is a per-engine decision made before the run. Sweeps
-// that run many cells in parallel lower n so cells × settle workers stays
-// within the machine (see experiments.Options.Parallelism); a process-
-// wide token budget of GOMAXPROCS-1 extra workers bounds the product
-// regardless.
-func (e *Engine) SetSettleWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.settleWorkers = n
 }
 
 // Now returns the current simulated time in seconds.

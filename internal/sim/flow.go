@@ -3,9 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 )
 
 // Resource is a capacity-limited element of the flow network: a memory
@@ -177,65 +174,14 @@ type FlowNet struct {
 	// activeRes lists every resource with at least one active flow;
 	// the remaining slices are reusable scratch for component discovery,
 	// filling, and retirement. compFlows holds the discovered components
-	// back to back, compEnds the end index of each.
+	// back to back.
 	activeRes []*Resource
 	compFlows []*Flow
-	compEnds  []int
 	resQueue  []*Resource
 	seeds     []*Flow
 	finished  []*Flow
-
-	// scratches[i] is the private filling scratch of concurrent settle
-	// worker i; scratches[0] doubles as the serial path's scratch.
-	scratches []*fillScratch
-}
-
-// fillScratch is the per-worker reusable state of one progressive-filling
-// pass; giving each settle worker its own keeps parallel fills race-free.
-type fillScratch struct {
-	res      []*Resource
-	unfrozen []*Flow
-}
-
-func newFlowNet(e *Engine) *FlowNet {
-	return &FlowNet{eng: e, scratches: []*fillScratch{{}}}
-}
-
-// settleTokens is the process-wide budget of extra settle workers: an
-// engine that wants to fill k components concurrently takes k-1 tokens
-// (non-blocking; a shortfall just means fewer workers, never waiting).
-// Capacity GOMAXPROCS-1 bounds cells × settle workers near the machine
-// width no matter how many engines run concurrently.
-var settleTokens chan struct{}
-
-func init() {
-	n := runtime.GOMAXPROCS(0) - 1
-	if n < 0 {
-		n = 0
-	}
-	settleTokens = make(chan struct{}, n)
-	for i := 0; i < n; i++ {
-		settleTokens <- struct{}{}
-	}
-}
-
-func acquireSettleTokens(want int) int {
-	got := 0
-	for got < want {
-		select {
-		case <-settleTokens:
-			got++
-		default:
-			return got
-		}
-	}
-	return got
-}
-
-func releaseSettleTokens(n int) {
-	for ; n > 0; n-- {
-		settleTokens <- struct{}{}
-	}
+	fillRes   []*Resource
+	unfrozen  []*Flow
 }
 
 // addFlow registers f as active.
@@ -292,17 +238,14 @@ func (n *FlowNet) settle() {
 }
 
 // components discovers the connected component of every seed flow,
-// leaving them back to back in compFlows with per-component end indices
-// in compEnds. Components are disjoint by construction (a seed whose
-// component was already discovered is skipped), each sorted into
-// admission order, and listed in first-seed order — the deterministic
-// unit of work for both serial and parallel filling. Duplicate seeds are
-// tolerated.
+// leaving them back to back in compFlows. Components are disjoint by
+// construction (a seed whose component was already discovered is
+// skipped), each sorted into admission order, and listed in first-seed
+// order. Duplicate seeds are tolerated.
 func (n *FlowNet) components(seeds []*Flow) {
 	n.epoch++
 	ep := n.epoch
 	out := n.compFlows[:0]
-	ends := n.compEnds[:0]
 	queue := n.resQueue[:0]
 	for _, s := range seeds {
 		if s.epoch == ep {
@@ -339,10 +282,8 @@ func (n *FlowNet) components(seeds []*Flow) {
 		// admission order keeps every later pass (filling, used-rate
 		// refresh) deterministic.
 		sortFlowsBySeq(out[start:])
-		ends = append(ends, len(out))
 	}
 	n.compFlows = out
-	n.compEnds = ends
 	n.resQueue = queue[:0]
 }
 
@@ -361,103 +302,21 @@ func sortFlowsBySeq(fs []*Flow) {
 	}
 }
 
-// parallelSettleMinFlows is the total component size below which fillAll
-// stays serial: filling is cheap enough there that worker handoff costs
-// more than it saves.
-const parallelSettleMinFlows = 128
-
-// fillAll fills every component discovered by the last components() call.
-//
-// With settleWorkers <= 1 (the default) it runs the legacy single
-// progressive-filling pass over the union of the components, preserving
-// the exact floating-point accumulation sequence of the historical
-// engine — the arithmetic the golden trace hashes pin.
-//
-// With settleWorkers > 1 the engine switches to component mode: each
-// component fills independently under its own pre-assigned epoch
-// (base+1+i) and private scratch. Components are disjoint, so the
-// per-component sums are identical no matter how many workers execute
-// them or in what order — the deterministic merge rule. Component-mode
-// rates can differ from union-mode rates by float rounding (the max-min
-// solution is the same real number, accumulated through a different
-// increment sequence), so the mode is an explicit opt-in for scale runs,
-// chosen once per engine, and its output is a pure function of the mode —
-// never of worker count, token availability, or thread timing. The worker
-// count is bounded by the engine's settleWorkers cap and the process-wide
-// settleTokens budget.
-func (n *FlowNet) fillAll() {
-	k := len(n.compEnds)
-	if k == 0 {
+// fill runs one progressive-filling pass over the components discovered
+// by the last components() call: every other flow's rate is unaffected.
+// compFlows concatenates the components, each sorted by admission seq,
+// which fixes every floating-point accumulation order the pass is
+// sensitive to (per-resource sums are component-local, and the shared
+// level accumulates order-independent minima) — the arithmetic the golden
+// trace hashes pin.
+func (n *FlowNet) fill() {
+	flows := n.compFlows
+	if len(flows) == 0 {
 		return
 	}
-	if n.eng.settleWorkers <= 1 {
-		// Union mode: compFlows concatenates the components, each sorted
-		// by admission seq, which preserves every order the union pass is
-		// sensitive to (per-resource sums are component-local, and the
-		// shared level accumulates order-independent minima).
-		n.epoch++
-		n.fill(n.compFlows, n.scratches[0], n.epoch)
-		return
-	}
-	// One fresh filling epoch per component, never shared across workers.
-	base := n.epoch
-	n.epoch += uint64(k)
-	workers := 1
-	if k > 1 && len(n.compFlows) >= parallelSettleMinFlows {
-		workers = k
-		if workers > n.eng.settleWorkers {
-			workers = n.eng.settleWorkers
-		}
-		workers = 1 + acquireSettleTokens(workers-1)
-	}
-	if workers <= 1 {
-		s := n.scratches[0]
-		start := 0
-		for i, end := range n.compEnds {
-			n.fill(n.compFlows[start:end], s, base+1+uint64(i))
-			start = end
-		}
-		return
-	}
-	defer releaseSettleTokens(workers - 1)
-	for len(n.scratches) < workers {
-		n.scratches = append(n.scratches, &fillScratch{})
-	}
-	var next atomic.Int64
-	run := func(s *fillScratch) {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= k {
-				return
-			}
-			start := 0
-			if i > 0 {
-				start = n.compEnds[i-1]
-			}
-			n.fill(n.compFlows[start:n.compEnds[i]], s, base+1+uint64(i))
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		s := n.scratches[w]
-		go func() {
-			defer wg.Done()
-			run(s)
-		}()
-	}
-	run(n.scratches[0]) // the caller is worker 0
-	wg.Wait()
-}
-
-// fill runs progressive filling over the given flows, which must form a
-// union of connected components: every other flow's rate is unaffected.
-// ep must be a fresh epoch stamp (newer than any stamp on the flows or
-// their resources) owned exclusively by this pass; s is the pass's
-// private scratch. Both are the caller's to coordinate, which is what
-// lets fillAll run disjoint components concurrently.
-func (n *FlowNet) fill(flows []*Flow, s *fillScratch, ep uint64) {
-	res := s.res[:0]
+	n.epoch++
+	ep := n.epoch
+	res := n.fillRes[:0]
 	for _, f := range flows {
 		f.rate = 0
 		for _, r := range f.path {
@@ -471,7 +330,7 @@ func (n *FlowNet) fill(flows []*Flow, s *fillScratch, ep uint64) {
 			r.active++
 		}
 	}
-	unfrozen := append(s.unfrozen[:0], flows...)
+	unfrozen := append(n.unfrozen[:0], flows...)
 	level := 0.0
 	for len(unfrozen) > 0 {
 		// Smallest additional rate increment any constraint allows.
@@ -552,8 +411,8 @@ func (n *FlowNet) fill(flows []*Flow, s *fillScratch, ep uint64) {
 			r.usedRate += f.rate
 		}
 	}
-	s.res = res
-	s.unfrozen = unfrozen[:0]
+	n.fillRes = res
+	n.unfrozen = unfrozen[:0]
 }
 
 // markDirty queues f's component for the next flush and invalidates any
@@ -572,7 +431,7 @@ func (n *FlowNet) flush() {
 	n.dirty = false
 	n.settle()
 	n.components(n.dirtySeeds)
-	n.fillAll()
+	n.fill()
 	for i := range n.dirtySeeds {
 		n.dirtySeeds[i] = nil
 	}
@@ -584,7 +443,7 @@ func (n *FlowNet) flush() {
 // schedules the next completion event.
 func (n *FlowNet) recomputeTouched(seeds []*Flow) {
 	n.components(seeds)
-	n.fillAll()
+	n.fill()
 	n.scheduleNextCompletion()
 }
 

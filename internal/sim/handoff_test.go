@@ -161,14 +161,12 @@ func TestBodyPanicReachesCaller(t *testing.T) {
 
 // mixedEngine builds a simulation that moves control along every path:
 // goroutine-backed producers and continuation-backed workers moving bytes
-// over shared resources (settled in component mode by two workers), and a
-// goroutine-backed consumer counting their items through a WaitQueue. A
-// greedy consumer waits for one item more than is ever produced, which
-// deadlocks the run. It returns the engine and the consumer's finish time.
+// over shared resources, and a goroutine-backed consumer counting their
+// items through a WaitQueue. A greedy consumer waits for one item more
+// than is ever produced, which deadlocks the run. It returns the engine and the consumer's finish time.
 func mixedEngine(greedy bool) (*Engine, *float64) {
 	const producers, items = 6, 120
 	e := NewEngine()
-	e.SetSettleWorkers(2)
 	res := []*Resource{NewResource("r0", 1e9), NewResource("r1", 2e9), NewResource("r2", 1.5e9)}
 	var q WaitQueue
 	pending := 0

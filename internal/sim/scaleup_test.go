@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // TestSpawnContChurnZeroAlloc: spawning and retiring lightweight
 // continuation processes in a loop must recycle the Proc through the
@@ -120,96 +117,5 @@ func TestWaitQueueSmallNeverShrinks(t *testing.T) {
 	e.Run()
 	if cap(q.waiters) == 0 {
 		t.Errorf("small queue released its backing array; shrink floor is %d", shrinkMinCap)
-	}
-}
-
-// TestSettleTokenBudget: the process-wide settle-worker budget hands out
-// at most GOMAXPROCS-1 tokens across all engines, never blocks on a
-// shortfall, and restores capacity on release — the mechanism that keeps
-// cells x settle workers bounded under a parallel sweep.
-func TestSettleTokenBudget(t *testing.T) {
-	budget := cap(settleTokens)
-	if want := runtime.GOMAXPROCS(0) - 1; budget != want && !(want < 0 && budget == 0) {
-		t.Fatalf("token capacity %d, want GOMAXPROCS-1 = %d", budget, want)
-	}
-	got := acquireSettleTokens(budget + 5)
-	if got != budget {
-		releaseSettleTokens(got)
-		t.Fatalf("acquired %d tokens from a budget of %d", got, budget)
-	}
-	// Exhausted: further acquires return zero instead of blocking.
-	if extra := acquireSettleTokens(1); extra != 0 {
-		releaseSettleTokens(got + extra)
-		t.Fatalf("acquired %d tokens past an exhausted budget", extra)
-	}
-	releaseSettleTokens(got)
-	if again := acquireSettleTokens(budget); again != budget {
-		releaseSettleTokens(again)
-		t.Fatalf("re-acquired %d tokens after full release, want %d", again, budget)
-	}
-	releaseSettleTokens(budget)
-}
-
-// settleScenario drives a multi-component contention pattern and returns
-// the simulated completion time of every transfer, in completion order.
-// Several disjoint resource groups stay busy at once, so component-mode
-// settling has real parallelism to find.
-func settleScenario(t *testing.T, workers int) []float64 {
-	t.Helper()
-	e := NewEngine()
-	if workers > 0 {
-		e.SetSettleWorkers(workers)
-	}
-	const groups = 8
-	var res [groups][2]*Resource
-	for g := range res {
-		res[g][0] = NewResource("mc", 1e9)
-		res[g][1] = NewResource("link", 2e9)
-	}
-	var times []float64
-	for g := 0; g < groups; g++ {
-		g := g
-		for i := 0; i < 40; i++ {
-			i := i
-			e.Spawn("mover", func(p *Proc) {
-				p.Sleep(float64(i) * 1e-7)
-				path := res[g][:1+(i%2)]
-				p.Transfer("t", 1e3+float64(i*g)*17, path, 0)
-				times = append(times, p.Now())
-			})
-		}
-	}
-	e.Run()
-	return times
-}
-
-// TestComponentSettleWorkerIndependence: component-mode output is a pure
-// function of the mode, not the worker count — n=2 and n=8 must produce
-// bit-identical completion times.
-func TestComponentSettleWorkerIndependence(t *testing.T) {
-	base := settleScenario(t, 2)
-	for _, n := range []int{3, 8} {
-		got := settleScenario(t, n)
-		if len(got) != len(base) {
-			t.Fatalf("workers=%d: %d completions, want %d", n, len(got), len(base))
-		}
-		for i := range got {
-			if got[i] != base[i] {
-				t.Fatalf("workers=%d: completion %d at %.17g, workers=2 at %.17g", n, i, got[i], base[i])
-			}
-		}
-	}
-}
-
-// TestComponentSettleRepeatable: the same component-mode run twice is
-// bit-identical — parallel filling must not leak scheduling noise into
-// the simulation.
-func TestComponentSettleRepeatable(t *testing.T) {
-	a := settleScenario(t, 4)
-	b := settleScenario(t, 4)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("completion %d differs across identical runs: %.17g vs %.17g", i, a[i], b[i])
-		}
 	}
 }

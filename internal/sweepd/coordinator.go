@@ -367,11 +367,11 @@ func (c *Coordinator) restore(snapshot []byte, records [][]byte) error {
 		if p.Token == "" {
 			continue
 		}
-		sw, err := c.buildSweepLocked(p.Token, p.Req, ps.Results, nil)
-		if err != nil {
+		if err := validateSweep(p.Req); err != nil {
 			c.opts.Logf("restore: dropping sweep %s: %v", p.Token, err)
 			continue
 		}
+		sw := c.buildSweepLocked(p.Token, p.Req, ps.Results, nil)
 		if p.Done {
 			sw.done = true
 		}
@@ -732,26 +732,30 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// buildSweepLocked validates a request, screens it if asked, registers
-// it under token, and attaches its cells: existing executions gain a
+// validateSweep registers a request's shipped custom machines and
+// validates its grid against them. An id that does not match its content
+// is a client bug (or tampering) and rejects the whole sweep.
+func validateSweep(req SweepRequest) error {
+	for id, raw := range req.Specs {
+		got, _, err := machine.RegisterSpecJSON(raw)
+		if err != nil {
+			return fmt.Errorf("sweepd: custom spec %s: %v", id, err)
+		}
+		if got != id {
+			return fmt.Errorf("sweepd: custom spec id %s does not match its content (canonical id %s)", id, got)
+		}
+	}
+	return req.Grid.Validate()
+}
+
+// buildSweepLocked screens a validated request if asked, registers it
+// under token, and attaches its cells: existing executions gain a
 // reference, already-finalized ones adopt immediately, new ones queue
 // at the sweep's priority. finals, when non-nil (restore), supplies
 // pre-crash results for cells this sweep should see as done. decisions,
 // when non-nil, is the screening admission control already did for
 // this request. Callers hold c.mu.
-func (c *Coordinator) buildSweepLocked(token string, req SweepRequest, finals map[string]CellResult, decisions []ScreenDecision) (*sweepState, error) {
-	for id, raw := range req.Specs {
-		got, _, err := machine.RegisterSpecJSON(raw)
-		if err != nil {
-			return nil, fmt.Errorf("sweepd: custom spec %s: %v", id, err)
-		}
-		if got != id {
-			return nil, fmt.Errorf("sweepd: custom spec id %s does not match its content (canonical id %s)", id, got)
-		}
-	}
-	if err := req.Grid.Validate(); err != nil {
-		return nil, err
-	}
+func (c *Coordinator) buildSweepLocked(token string, req SweepRequest, finals map[string]CellResult, decisions []ScreenDecision) *sweepState {
 	sw := &sweepState{
 		token:   token,
 		req:     req,
@@ -855,7 +859,7 @@ func (c *Coordinator) buildSweepLocked(token string, req SweepRequest, finals ma
 	if queued {
 		c.signalLocked()
 	}
-	return sw, nil
+	return sw
 }
 
 // screen prices a screened request's grid on the coordinator's shared
@@ -941,22 +945,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "sweepd: screening estimates cannot price fault plans (drop -faults or screening)", http.StatusBadRequest)
 		return
 	}
-	// Register shipped custom machines and validate the grid before
-	// admission control touches it. An id that does not match its
-	// content is a client bug (or tampering) and rejects the whole
-	// sweep. buildSweepLocked repeats both checks for the restore path.
-	for id, raw := range req.Specs {
-		got, _, err := machine.RegisterSpecJSON(raw)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("sweepd: custom spec %s: %v", id, err), http.StatusBadRequest)
-			return
-		}
-		if got != id {
-			http.Error(w, fmt.Sprintf("sweepd: custom spec id %s does not match its content (canonical id %s)", id, got), http.StatusBadRequest)
-			return
-		}
-	}
-	if err := req.Grid.Validate(); err != nil {
+	if err := validateSweep(req); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -997,12 +986,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	token := "s" + randomHex(6)
 	c.journalLocked(journalRecord{T: "sweep", Token: token, Req: &req})
-	sw, err := c.buildSweepLocked(token, req, nil, decisions)
-	if err != nil {
-		c.mu.Unlock()
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+	sw := c.buildSweepLocked(token, req, nil, decisions)
 	replay, remaining, ch := c.attachLocked(sw)
 	c.mu.Unlock()
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"multicore/internal/machine"
 	"multicore/internal/schema"
 )
 
@@ -392,4 +393,65 @@ func TestSubmitValidatesGrid(t *testing.T) {
 	if _, err := Submit(context.Background(), srv.URL, bad, nil); err == nil {
 		t.Error("bogus scheme accepted")
 	}
+}
+
+// FuzzSweepSubmit drives the sweep endpoint in-process with arbitrary
+// bodies: a coordinator with a ten-cell in-flight quota that already
+// holds a two-cell sweep from the empty client under a known token.
+// The request context is canceled up front, so an accepted sweep returns
+// right after its start event. Whatever the body, the reply is 200, 400,
+// 404 or 429, and every cell stays in exactly one state.
+func FuzzSweepSubmit(f *testing.F) {
+	known := rankedGrid("stream", 1, 2)
+	screened := Grid{Workloads: []string{"stream", "cg"}, Systems: []string{"tiger", "dmz"},
+		Ranks: []int{1, 2, 4}, Schemes: []string{"default", "localalloc"}, Scale: "quick"}
+	noScale := rankedGrid("cg", 2)
+	noScale.Scale = ""
+	badScheme := rankedGrid("cg", 2)
+	badScheme.Schemes = []string{"bogus"}
+	spec, err := machine.MarshalJSONSpec(machine.Hybrid16())
+	if err != nil {
+		f.Fatal(err)
+	}
+	v := schema.Version
+	for _, req := range []SweepRequest{
+		{SchemaVersion: v, Grid: rankedGrid("stream", 1, 2), Client: "a"},
+		{SchemaVersion: v, Grid: rankedGrid("stream", 1, 2, 3, 4, 5, 6, 7, 8, 9)}, // over the quota
+		{SchemaVersion: v, Grid: screened, Screen: true, Client: "b"},
+		{SchemaVersion: v, Grid: screened, Screen: true, Faults: "noise:core=0,period=1ms,frac=0.1"},
+		{SchemaVersion: v, Grid: noScale},
+		{SchemaVersion: v, Grid: badScheme},
+		{SchemaVersion: v, Grid: rankedGrid("cg", 2), Specs: map[string]json.RawMessage{"sock:wrong@000000000000": spec}},
+		{Resume: "snope"},
+		{Resume: "sknown"},
+		{SchemaVersion: v + 1, Grid: rankedGrid("cg", 2)},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte("{"))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		c, err := NewCoordinator(CoordinatorOptions{MaxInflightPerClient: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close() // the request under test is the only thing that changes the state
+		queueSweep(t, c, "sknown", known)
+
+		req := httptest.NewRequest(http.MethodPost, PathSweep, bytes.NewReader(body))
+		ctx, cancel := context.WithCancel(req.Context())
+		cancel()
+		rec := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rec, req.WithContext(ctx))
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusNotFound, http.StatusTooManyRequests:
+		default:
+			t.Errorf("POST %s: status %d", PathSweep, rec.Code)
+		}
+		checkCellStates(t, c)
+	})
 }

@@ -27,11 +27,13 @@ import (
 // without attaching a client stream.
 func queueSweep(t testing.TB, c *Coordinator, token string, g Grid) {
 	t.Helper()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, err := c.buildSweepLocked(token, SweepRequest{SchemaVersion: schema.Version, Grid: g}, nil, nil); err != nil {
+	req := SweepRequest{SchemaVersion: schema.Version, Grid: g}
+	if err := validateSweep(req); err != nil {
 		t.Fatal(err)
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.buildSweepLocked(token, req, nil, nil)
 }
 
 // checkCellStates verifies the coordinator's cell bookkeeping: each cell

@@ -37,9 +37,6 @@ type WorkerOptions struct {
 	// Parallelism is how many cells this worker runs concurrently;
 	// < 1 means 1.
 	Parallelism int
-	// SettleWorkers opts cells into component-mode parallel settling
-	// (see experiments.Options.SettleWorkers).
-	SettleWorkers int
 	// Client is the HTTP client; nil uses a default with a timeout above
 	// the coordinator's poll window that keeps an idle connection for
 	// every slot and the heartbeat.
@@ -88,11 +85,15 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 		inflight: map[string]context.CancelFunc{},
 	}
 	if w.client == nil {
-		// The default transport keeps two idle connections per host; a
-		// worker needs one per slot plus the heartbeat's, or requests
-		// past the second open a new connection each.
+		// Each slot and the heartbeat have at most one request in flight,
+		// so a worker needs one connection apiece. The default transport
+		// keeps only two idle per host, and dials a new one when a slot's
+		// next request races the return of its last connection to the
+		// idle pool; capping connections makes that request wait for the
+		// returning one instead.
 		tr := http.DefaultTransport.(*http.Transport).Clone()
 		tr.MaxIdleConnsPerHost = opts.Parallelism + 1
+		tr.MaxConnsPerHost = opts.Parallelism + 1
 		w.client = &http.Client{Timeout: 60 * time.Second, Transport: tr}
 	}
 	if w.logf == nil {
@@ -336,12 +337,11 @@ func (w *Worker) executeCell(ctx context.Context, asg Assignment) (CellResult, b
 		return resultFor(asg.Cell, 0, err), false
 	}
 	opts := experiments.Options{
-		Parallelism:   1,
-		Resume:        true,
-		Retries:       asg.Retries,
-		RetryBackoff:  50 * time.Millisecond,
-		SettleWorkers: w.opts.SettleWorkers,
-		Store:         nil,
+		Parallelism:  1,
+		Resume:       true,
+		Retries:      asg.Retries,
+		RetryBackoff: 50 * time.Millisecond,
+		Store:        nil,
 	}
 	if w.st != nil {
 		opts.Store = w.st
