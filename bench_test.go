@@ -1,6 +1,7 @@
 package multicore_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -12,26 +13,39 @@ import (
 	"multicore/internal/kernels/rnda"
 )
 
-// benchExperiment runs one paper artifact at Quick scale per iteration.
-// Every table and figure in the paper's evaluation has a benchmark here;
-// run a single one with e.g. `go test -bench=BenchmarkFig10 -benchtime=1x`.
-func benchExperiment(b *testing.B, id string) {
-	e, ok := experiments.ByID(id)
-	if !ok {
-		b.Fatalf("no experiment %q", id)
+// benchExperiment runs paper artifacts at Quick scale, in order, on a
+// fresh Runner per iteration: a runner caches every cell it simulates, so
+// a shared one would turn every iteration after the first into cache
+// hits. Every table and figure in the paper's evaluation has a benchmark
+// here; run a single one with e.g. `go test -bench=BenchmarkFig10
+// -benchtime=1x`.
+func benchExperiment(b *testing.B, ids ...string) {
+	var exps []experiments.Experiment
+	for _, id := range ids {
+		e, ok := experiments.ByID(id)
+		if !ok {
+			b.Fatalf("no experiment %q", id)
+		}
+		exps = append(exps, e)
 	}
-	r := experiments.NewRunner(nil, experiments.Options{})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tables, err := r.Run(e, experiments.Quick)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tables) == 0 {
-			b.Fatal("no tables")
+		r := experiments.NewRunner(context.Background(), experiments.Options{})
+		for _, e := range exps {
+			tables, err := r.Run(e, experiments.Quick)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(tables) == 0 {
+				b.Fatal("no tables")
+			}
 		}
 	}
 }
+
+// BenchmarkPaperTables is the go test twin of perfbench's paper-tables
+// workload: table2 then table14 on one fresh runner.
+func BenchmarkPaperTables(b *testing.B) { benchExperiment(b, "table2", "table14") }
 
 func BenchmarkFig2(b *testing.B)    { benchExperiment(b, "fig2") }
 func BenchmarkFig3(b *testing.B)    { benchExperiment(b, "fig3") }

@@ -202,13 +202,14 @@ func parMap[T any](r *Runner, n int, fn func(i int) T) []T {
 
 		panicOnce sync.Once
 		panicked  *workerPanic
+		stop      atomic.Bool
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				if r.ctx.Err() != nil {
+				if r.ctx.Err() != nil || stop.Load() {
 					return
 				}
 				idxMu.Lock()
@@ -221,13 +222,12 @@ func parMap[T any](r *Runner, n int, fn func(i int) T) []T {
 				func() {
 					defer func() {
 						if p := recover(); p != nil {
+							// Stop the other workers claiming cells instead
+							// of simulating the rest of the grid before the
+							// re-panic. The flag is atomic, so raising it
+							// never waits behind their claims on idxMu.
+							stop.Store(true)
 							panicOnce.Do(func() { panicked = &workerPanic{v: p} })
-							// Exhaust the index feed so other workers stop
-							// claiming cells instead of simulating the rest
-							// of the grid before the re-panic.
-							idxMu.Lock()
-							next = n
-							idxMu.Unlock()
 						}
 					}()
 					out[i] = fn(i)

@@ -48,6 +48,16 @@ type Machine struct {
 	fabs   [][]*sim.Resource  // per-socket, per-die on-package fabric (multi-die only)
 	caches []*mem.Cache
 
+	// Scratch for one access batch (see CPU.plan): its plans, their
+	// flows, a region's node split, and the path each flow starts with.
+	// A batch is planned and its flows started without yielding, and
+	// Start copies the path into the flow, so one set per machine serves
+	// every CPU on it.
+	plans []accessPlan
+	flows []accessFlow
+	split []float64
+	path  []*sim.Resource
+
 	// perturb, when non-nil, injects deterministic faults (OS noise on
 	// compute durations; the capacity windows were already scheduled by
 	// ApplyFaults). Nil means the idealized fault-free machine.
@@ -160,61 +170,61 @@ func (m *Machine) Cache(c topology.CoreID) *mem.Cache { return m.caches[c] }
 // MC returns the memory controller resource of socket s.
 func (m *Machine) MC(s topology.SocketID) *sim.Resource { return m.mcs[s] }
 
-// linkResources maps a directed route to its resource sequence.
-func (m *Machine) linkResources(route []topology.DirectedLink) []*sim.Resource {
-	out := make([]*sim.Resource, 0, len(route))
-	for _, dl := range route {
+// appendRoute appends the link directions data crosses from socket a to
+// socket b, in topology.Route order.
+func (m *Machine) appendRoute(path []*sim.Resource, a, b topology.SocketID) []*sim.Resource {
+	for _, dl := range m.Topo().Route(a, b) {
+		dir := 0
 		if dl.Reverse {
-			out = append(out, m.links[dl.Index][1])
-		} else {
-			out = append(out, m.links[dl.Index][0])
+			dir = 1
 		}
+		path = append(path, m.links[dl.Index][dir])
 	}
-	return out
-}
-
-// ReadPath is the resource path for data flowing from memory node `node`
-// to a core: the core's issue port, its die's fabric link on chiplet
-// sockets, the links from node to the core's socket, and the node's
-// memory controller.
-func (m *Machine) ReadPath(core topology.CoreID, node topology.SocketID) []*sim.Resource {
-	sock := m.Topo().SocketOf(core)
-	path := []*sim.Resource{m.issue[core]}
-	if fab := m.fabricFor(core); fab != nil {
-		path = append(path, fab)
-	}
-	path = append(path, m.linkResources(m.Topo().Route(node, sock))...)
-	path = append(path, m.mcs[node])
 	return path
 }
 
-// WritePath is the resource path for data flowing from a core to memory
-// node `node`.
-func (m *Machine) WritePath(core topology.CoreID, node topology.SocketID) []*sim.Resource {
-	sock := m.Topo().SocketOf(core)
-	path := []*sim.Resource{m.issue[core]}
+// appendCore appends the core's issue port and, on chiplet sockets, its
+// die's fabric link: the head of every path a core drives.
+func (m *Machine) appendCore(path []*sim.Resource, core topology.CoreID) []*sim.Resource {
+	path = append(path, m.issue[core])
 	if fab := m.fabricFor(core); fab != nil {
 		path = append(path, fab)
 	}
-	path = append(path, m.linkResources(m.Topo().Route(sock, node))...)
-	path = append(path, m.mcs[node])
 	return path
 }
 
-// CopyPath is the resource path for a memory-to-memory copy performed by a
-// core (an MPI shared-buffer copy): read from src node, write to dst node.
-// Both controllers and both link routes are charged; the issue port is
-// charged once (it limits the copy loop's combined rate).
-func (m *Machine) CopyPath(core topology.CoreID, src, dst topology.SocketID) []*sim.Resource {
+// ReadPath appends to path the resources data crosses flowing from memory
+// node `node` to a core, and returns the extended slice: the core's issue
+// port, its die's fabric link on chiplet sockets, the links from node to
+// the core's socket, and the node's memory controller. Like the other
+// path builders it allocates only when path lacks capacity, so callers
+// pass a reused scratch buffer (FlowNet.Start copies the path).
+func (m *Machine) ReadPath(path []*sim.Resource, core topology.CoreID, node topology.SocketID) []*sim.Resource {
+	path = m.appendCore(path, core)
+	path = m.appendRoute(path, node, m.Topo().SocketOf(core))
+	return append(path, m.mcs[node])
+}
+
+// WritePath appends to path the resources data crosses flowing from a core
+// to memory node `node`, and returns the extended slice.
+func (m *Machine) WritePath(path []*sim.Resource, core topology.CoreID, node topology.SocketID) []*sim.Resource {
+	path = m.appendCore(path, core)
+	path = m.appendRoute(path, m.Topo().SocketOf(core), node)
+	return append(path, m.mcs[node])
+}
+
+// CopyPath appends to path the resources of a memory-to-memory copy
+// performed by a core (an MPI shared-buffer copy): read from src node,
+// write to dst node. Both controllers and both link routes are charged;
+// the issue port is charged once (it limits the copy loop's combined
+// rate).
+func (m *Machine) CopyPath(path []*sim.Resource, core topology.CoreID, src, dst topology.SocketID) []*sim.Resource {
 	sock := m.Topo().SocketOf(core)
-	path := []*sim.Resource{m.issue[core]}
-	if fab := m.fabricFor(core); fab != nil {
-		path = append(path, fab)
-	}
-	path = append(path, m.linkResources(m.Topo().Route(src, sock))...)
+	path = m.appendCore(path, core)
+	path = m.appendRoute(path, src, sock)
 	path = append(path, m.mcs[src])
 	if dst != src {
-		path = append(path, m.linkResources(m.Topo().Route(sock, dst))...)
+		path = m.appendRoute(path, sock, dst)
 		path = append(path, m.mcs[dst])
 	}
 	return path
@@ -238,12 +248,9 @@ type CPU struct {
 	ComputeSeconds float64
 	MemBytes       float64
 
-	// Reusable scratch for execute: the started-flow list and the path
-	// buffer that splices the prefetch window in. Start copies paths into
-	// flow-owned storage, so the buffer can be reused across admissions
-	// within one batch.
+	// flowScratch is execute's reusable list of the flows it started and
+	// waits on; unlike the machine's batch scratch it lives across blocks.
 	flowScratch []*sim.Flow
-	pathScratch []*sim.Resource
 }
 
 // CPU binds a process to a core, returning its execution context.
@@ -286,21 +293,33 @@ func (c *CPU) Compute(flops, eff float64) {
 	c.proc.Sleep(d)
 }
 
-// accessPlan is the cost breakdown of one access batch: flow specs for
-// DRAM traffic plus the serial cache-hit time and the stream-latency
-// statistics needed to size the core's shared prefetch window.
+// accessPlan is the cost breakdown of one access batch: its DRAM flows
+// plus the serial cache-hit time and the stream-latency statistics needed
+// to size the core's shared prefetch window.
 type accessPlan struct {
-	specs       []sim.FlowSpec
+	flows       []accessFlow
 	hitTime     float64
 	streamBytes float64 // DRAM bytes moved by prefetchable (streaming) flows
 	weightedRT  float64 // sum of bytes*roundTrip over those flows
 }
 
+// accessFlow is one DRAM flow of an access batch: its volume and rate
+// ceiling, the memory node it reads or writes, and the access's shared
+// rate bound, if any. Its path is built right before the flow starts.
+type accessFlow struct {
+	bytes, ceiling float64
+	node           topology.SocketID
+	write          bool
+	bound          *sim.Resource
+}
+
 // flowSpecs converts an access batch into a cost plan after cache
-// filtering.
+// filtering. The plan's flows are appended to the machine's batch
+// scratch, which CPU.plan resets once per batch.
 func (c *CPU) flowSpecs(a mem.Access) accessPlan {
-	spec := c.m.Spec
-	tr := c.m.caches[c.core].Filter(a)
+	m := c.m
+	spec := m.Spec
+	tr := m.caches[c.core].Filter(a)
 	plan := accessPlan{hitTime: tr.HitBytes / spec.L2BandwidthOn(c.core)}
 
 	if tr.MemBytes <= 0 && tr.LatencyTouches <= 0 {
@@ -314,20 +333,13 @@ func (c *CPU) flowSpecs(a mem.Access) accessPlan {
 	}
 
 	sock := c.Socket()
-	parts := a.Region.Split(tr.MemBytes)
-	for node, bytes := range parts {
+	m.split = a.Region.Split(m.split[:0], tr.MemBytes)
+	first := len(m.flows)
+	for node, bytes := range m.split {
 		if bytes <= 0 {
 			continue
 		}
 		nodeID := topology.SocketID(node)
-		var path []*sim.Resource
-		if a.Pattern == mem.StreamWrite {
-			// Half write-allocate reads, half writebacks; approximate
-			// with the write path (the controller dominates).
-			path = c.m.WritePath(c.core, nodeID)
-		} else {
-			path = c.m.ReadPath(c.core, nodeID)
-		}
 		ceiling := 0.0
 		inflate := 1.0
 		if tr.LatencyTouches > 0 {
@@ -339,21 +351,21 @@ func (c *CPU) flowSpecs(a mem.Access) accessPlan {
 			if a.Pattern == mem.Chase {
 				mlp = 1
 			}
-			ceiling = mlp * spec.LineBytes / c.m.RoundTrip(sock, nodeID)
+			ceiling = mlp * spec.LineBytes / m.RoundTrip(sock, nodeID)
 		} else {
 			plan.streamBytes += bytes
-			plan.weightedRT += bytes * c.m.RoundTrip(sock, nodeID)
+			plan.weightedRT += bytes * m.RoundTrip(sock, nodeID)
 			// DRAM stream-interleaving penalty: concurrent flows at
 			// this controller reduce effective bandwidth. The row-
 			// buffer thrash saturates after a few streams.
-			inflate = 1 + spec.ContentionPenalty*float64(min(c.m.mcs[node].ActiveFlows(), 3))
+			inflate = 1 + spec.ContentionPenalty*float64(min(m.mcs[node].ActiveFlows(), 3))
 		}
-		if bound != nil {
-			path = append(append([]*sim.Resource{}, path...), bound)
-		}
-		specs := sim.FlowSpec{Bytes: bytes * inflate, Path: path, Ceiling: ceiling}
-		plan.specs = append(plan.specs, specs)
+		// A streaming write is half write-allocate reads, half
+		// writebacks; it takes the write path (the controller dominates).
+		m.flows = append(m.flows, accessFlow{bytes: bytes * inflate, ceiling: ceiling,
+			node: nodeID, write: a.Pattern == mem.StreamWrite, bound: bound})
 	}
+	plan.flows = m.flows[first:]
 	return plan
 }
 
@@ -389,22 +401,31 @@ func (c *CPU) window(plans []accessPlan) *sim.Resource {
 // every streaming path), optionally overlapping a compute phase, and
 // blocks until everything finishes.
 func (c *CPU) execute(label string, plans []accessPlan, flops, eff float64) {
+	m := c.m
 	win := c.window(plans)
 	hitTime := 0.0
-	net := c.m.Eng.Net()
+	net := m.Eng.Net()
 	flows := c.flowScratch[:0]
 	for _, p := range plans {
 		hitTime += p.hitTime
-		for _, s := range p.specs {
-			if s.Bytes <= 0 {
+		for _, f := range p.flows {
+			if f.bytes <= 0 {
 				continue
 			}
-			path := s.Path
-			if win != nil && s.Ceiling == 0 {
-				path = append(append(c.pathScratch[:0], path...), win)
-				c.pathScratch = path[:0]
+			path := m.path[:0]
+			if f.write {
+				path = m.WritePath(path, c.core, f.node)
+			} else {
+				path = m.ReadPath(path, c.core, f.node)
 			}
-			flows = append(flows, net.Start(label, s.Bytes, path, s.Ceiling))
+			if f.bound != nil {
+				path = append(path, f.bound)
+			}
+			if win != nil && f.ceiling == 0 {
+				path = append(path, win)
+			}
+			m.path = path
+			flows = append(flows, net.Start(label, f.bytes, path, f.ceiling))
 		}
 	}
 	if flops > 0 {
@@ -431,18 +452,27 @@ func (c *CPU) execute(label string, plans []accessPlan, flops, eff float64) {
 
 // Access performs one memory access batch, blocking for its full cost.
 func (c *CPU) Access(a mem.Access) {
-	c.execute(a.Region.Name, []accessPlan{c.flowSpecs(a)}, 0, 1)
+	c.execute(a.Region.Name, c.plan(a), 0, 1)
 }
 
 // Overlap runs a compute phase concurrently with one or more memory access
 // batches, modeling out-of-order overlap: total time is the maximum of the
 // compute time and the memory time, not their sum.
 func (c *CPU) Overlap(flops, eff float64, accesses ...mem.Access) {
-	plans := make([]accessPlan, 0, len(accesses))
+	c.execute("overlap", c.plan(accesses...), flops, eff)
+}
+
+// plan resets the machine's batch scratch and fills it with the accesses'
+// cost plans.
+func (c *CPU) plan(accesses ...mem.Access) []accessPlan {
+	m := c.m
+	m.flows = m.flows[:0]
+	plans := m.plans[:0]
 	for _, a := range accesses {
 		plans = append(plans, c.flowSpecs(a))
 	}
-	c.execute("overlap", plans, flops, eff)
+	m.plans = plans
+	return plans
 }
 
 // Copy models a core-driven memory copy of `bytes` from a region on
@@ -453,7 +483,8 @@ func (c *CPU) Copy(bytes float64, srcNode, dstNode topology.SocketID) {
 	}
 	inflate := 1 + c.m.Spec.ContentionPenalty*float64(c.m.mcs[srcNode].ActiveFlows())
 	c.MemBytes += bytes
-	c.proc.Transfer("copy", bytes*inflate, c.m.CopyPath(c.core, srcNode, dstNode), 0)
+	c.m.path = c.m.CopyPath(c.m.path[:0], c.core, srcNode, dstNode)
+	c.proc.Transfer("copy", bytes*inflate, c.m.path, 0)
 }
 
 // ContentionInflate returns the volume inflation factor for a new stream

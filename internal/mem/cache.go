@@ -102,14 +102,17 @@ func (c *Cache) touch(r *Region, bytes float64) {
 	if bytes > r.Bytes {
 		bytes = r.Bytes
 	}
-	// Move/insert r at the front of the LRU list.
-	for i, reg := range c.lru {
-		if reg == r {
-			c.lru = append(c.lru[:i], c.lru[i+1:]...)
-			break
-		}
+	// Move r to the front of the LRU list in place, shifting the regions
+	// ahead of it back one slot; a new region grows the list by one.
+	i := 0
+	for i < len(c.lru) && c.lru[i] != r {
+		i++
 	}
-	c.lru = append([]*Region{r}, c.lru...)
+	if i == len(c.lru) {
+		c.lru = append(c.lru, nil)
+	}
+	copy(c.lru[1:i+1], c.lru[:i])
+	c.lru[0] = r
 	if bytes > r.resident[c.CoreID] {
 		r.resident[c.CoreID] = bytes
 	}
@@ -129,6 +132,7 @@ func (c *Cache) touch(r *Region, bytes float64) {
 		}
 		total -= last.resident[c.CoreID]
 		delete(last.resident, c.CoreID)
+		c.lru[len(c.lru)-1] = nil
 		c.lru = c.lru[:len(c.lru)-1]
 	}
 	if total > c.Capacity {
@@ -218,5 +222,6 @@ func (c *Cache) Flush() {
 	for _, r := range c.lru {
 		delete(r.resident, c.CoreID)
 	}
-	c.lru = nil
+	clear(c.lru)
+	c.lru = c.lru[:0]
 }

@@ -80,7 +80,7 @@ func TestPlacementSumsToOne(t *testing.T) {
 
 func TestRegionSplit(t *testing.T) {
 	r := NewRegion("x", 1000, Placement{0.25, 0.75})
-	parts := r.Split(400)
+	parts := r.Split(nil, 400)
 	if parts[0] != 100 || parts[1] != 300 {
 		t.Fatalf("split = %v", parts)
 	}
@@ -223,5 +223,27 @@ func TestCacheResidencyNeverExceedsCapacity(t *testing.T) {
 				t.Fatalf("resident total %v exceeds capacity %v", total, c.Capacity)
 			}
 		}
+	}
+}
+
+// TestFilterWarmLRUZeroAlloc: once every region has been seen, filtering
+// accesses that reorder the LRU and evict from it allocates nothing: touch
+// moves a region to the front in place.
+func TestFilterWarmLRUZeroAlloc(t *testing.T) {
+	c := NewCache(0, 1000, 64)
+	var accesses []Access
+	for i, p := range []Pattern{Stream, Random, StreamWrite, Blocked} {
+		r := NewRegion("r", float64(300+100*i), Placement{1})
+		accesses = append(accesses, Access{Region: r, Pattern: p, Bytes: r.Bytes, Touches: 10, Reuse: 4})
+	}
+	round := func() {
+		for _, a := range accesses {
+			c.Filter(a)
+		}
+		c.Filter(accesses[1])
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("filtering on a warm LRU allocates %v times per round, want 0", n)
 	}
 }

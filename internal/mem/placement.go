@@ -94,12 +94,12 @@ func NewRegion(name string, bytes float64, dist Placement) *Region {
 	return &Region{Name: name, Bytes: bytes, Dist: dist, resident: make(map[int]float64)}
 }
 
-// Split returns per-node byte volumes for a transfer of total bytes from
-// this region, honoring its placement distribution.
-func (r *Region) Split(total float64) []float64 {
-	out := make([]float64, len(r.Dist))
-	for i, f := range r.Dist {
-		out[i] = total * f
+// Split appends to dst the per-node byte volumes for a transfer of total
+// bytes from this region, honoring its placement distribution, and
+// returns the extended slice.
+func (r *Region) Split(dst []float64, total float64) []float64 {
+	for _, f := range r.Dist {
+		dst = append(dst, total*f)
 	}
-	return out
+	return dst
 }

@@ -115,3 +115,38 @@ func TestRankPanicReachesCaller(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestDeadlockNamesHelpersAndRanks: a deadlock that strands a rank in
+// Wait, its Irecv helper in the receive it serves, and another rank in a
+// blocking Recv reports all three with their wait labels, sorted by name,
+// and releases every rank goroutine. Rank 1 returns at once, so neither
+// receive can ever match.
+func TestDeadlockNamesHelpersAndRanks(t *testing.T) {
+	base := runtime.NumGoroutine()
+	res, err := RunContext(context.Background(), jobOn(machine.DMZ(), MPICH2(), 0, 1, 2), func(r *Rank) {
+		switch r.ID() {
+		case 0:
+			r.Wait(r.Irecv(1))
+		case 2:
+			r.Recv(0)
+		}
+	})
+	if res != nil {
+		t.Fatal("deadlocked run returned a result")
+	}
+	var dl *sim.DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("got %v, want *sim.DeadlockError", err)
+	}
+	const want = "3 live processes, blocked: [rank0 (wait request) rank0.irecv (recv from 1) rank2 (recv from 0)]"
+	if !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("error %q, want it to end %q", err, want)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the run, want %d: rank goroutines leaked", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

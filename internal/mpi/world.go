@@ -218,6 +218,11 @@ type World struct {
 	// msgFree pools in-flight message descriptors (see newMessage).
 	msgFree []*message
 
+	// path is the scratch the protocols build flow paths in. Nothing
+	// yields between building a path and starting its flow, which copies
+	// it, so one buffer serves every rank and helper.
+	path []*sim.Resource
+
 	// Pre-formatted per-rank strings for the hot paths: wait-reason labels
 	// and helper process names, so Recv loops and Isend/Irecv spawns do
 	// not re-run fmt.Sprintf per call.
@@ -329,8 +334,7 @@ func RunContext(ctx context.Context, cfg Config, body func(*Rank)) (*Result, err
 			mach:  m,
 			bind:  b,
 			bd:    &res.Breakdown[i],
-			inbox: map[int][]*message{},
-			recvQ: map[int]*sim.WaitQueue{},
+			boxes: map[int]*mailbox{},
 			rng:   rand.New(rand.NewSource(cfg.Seed*1000003 + int64(i))),
 		}
 		r.dist = b.Placement(cfg.Spec.Topo, cfg.Spec.Topo.NumSockets)
@@ -480,10 +484,10 @@ type Rank struct {
 
 	// helperFree recycles finished Isend/Irecv helper clones when tracing
 	// is off (with tracing on, every helper keeps a distinct thread id).
-	helperFree []*Rank
+	helperFree []*helper
 
-	inbox map[int][]*message
-	recvQ map[int]*sim.WaitQueue
+	// boxes holds one mailbox per peer that has sent to this rank.
+	boxes map[int]*mailbox
 }
 
 // ID returns the rank number.

@@ -10,7 +10,9 @@
 // goroutine-backed process, then hands control straight to that process
 // through its single-slot wake channel, or simply returns if the process is
 // itself. Time is a float64 in seconds; simultaneous events fire in the
-// order they were scheduled.
+// order they were scheduled. Events for later instants wait in a binary
+// heap; events for the current instant, about half of all events in the
+// MPI workloads, skip it through a FIFO lane.
 //
 // Bandwidth-shared activities (memory streams, message copies) are modeled
 // as flows over paths of capacity-limited resources. Rates are assigned by
@@ -85,7 +87,8 @@ const ctxCheckStride = 1024
 type Engine struct {
 	now   float64
 	seq   uint64
-	queue eventHeap
+	queue eventHeap // events after now
+	lane  eventLane // events at now, in schedule order
 
 	// yield returns control to the RunContext caller: whoever holds control
 	// when the run ends sends on it, and so does each process that abort
@@ -103,8 +106,10 @@ type Engine struct {
 	// handoffs counts resumes that moved control to another goroutine.
 	handoffs uint64
 
-	liveProcs    int
-	blockedProcs map[*Proc]string
+	// live lists every spawned process that has not finished, in no
+	// particular order (swap-delete through Proc.liveIdx). It changes only
+	// at spawn and finish; deadlock reporting and abort walk it.
+	live []*Proc
 
 	// killing is set by abort: woken processes unwind via a procKilled
 	// panic instead of resuming their bodies, so cancellation and
@@ -140,10 +145,7 @@ type Engine struct {
 
 // NewEngine creates an empty simulation.
 func NewEngine() *Engine {
-	e := &Engine{
-		yield:        make(chan struct{}, 1),
-		blockedProcs: make(map[*Proc]string),
-	}
+	e := &Engine{yield: make(chan struct{}, 1)}
 	e.net = &FlowNet{eng: e}
 	return e
 }
@@ -228,17 +230,57 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// schedule stamps ev with (t, next seq) and enqueues it. Scheduling in the
-// past or at a NaN timestamp panics: the former violates causality, the
-// latter corrupts the event heap's ordering (every comparison against NaN
-// is false) and would silently break determinism.
+// eventLane is the FIFO of events scheduled for the current instant. It
+// needs no ordering work: such an event sorts after every heap event at
+// now with a smaller seq and before every later event, so the event loop
+// takes the lane head unless the heap top is at now with a smaller seq.
+// The lane is empty whenever the clock advances. It is head-indexed over
+// one backing slice that resets when it drains, and compacts when a long
+// instant leaves the dead prefix dominant.
+type eventLane struct {
+	evs  []event
+	head int
+}
+
+func (l *eventLane) empty() bool { return l.head == len(l.evs) }
+
+func (l *eventLane) push(ev event) {
+	if l.head > 0 && l.head*2 >= len(l.evs) {
+		n := copy(l.evs, l.evs[l.head:])
+		clear(l.evs[n:])
+		l.evs = l.evs[:n]
+		l.head = 0
+	}
+	l.evs = append(l.evs, ev)
+}
+
+func (l *eventLane) pop() event {
+	ev := l.evs[l.head]
+	l.evs[l.head] = event{} // release the proc/fire references
+	l.head++
+	if l.head == len(l.evs) {
+		l.evs = l.evs[:0]
+		l.head = 0
+	}
+	return ev
+}
+
+// schedule stamps ev with (t, next seq) and enqueues it: on the lane when
+// t is the current instant, else on the heap. Scheduling in the past or
+// at a NaN timestamp panics: the former violates causality, the latter
+// corrupts the event heap's ordering (every comparison against NaN is
+// false) and would silently break determinism.
 func (e *Engine) schedule(t float64, ev event) {
 	if !(t >= e.now) {
 		panic(fmt.Sprintf("sim: scheduling event at %g before now %g", t, e.now))
 	}
 	e.seq++
 	ev.at, ev.seq = t, e.seq
-	e.queue.push(ev)
+	if t == e.now {
+		e.lane.push(ev)
+	} else {
+		e.queue.push(ev)
+	}
 }
 
 // At schedules fn to run at absolute simulated time t.
@@ -265,14 +307,22 @@ func (e *Engine) scheduleResume(t float64, p *Proc) {
 // one handoff. Lightweight processes (SpawnCont) have no goroutine at all:
 // their body is a chain of explicit continuations that the event loop
 // invokes inline on whichever goroutine holds control, so blocking costs
-// one closure instead of a stack. Both backings share the same wake paths
-// (scheduleResume, WaitQueue, flow waiters), observation states, and
-// deadlock reporting.
+// storing one func value instead of a stack. Both backings share the same
+// wake paths (scheduleResume, WaitQueue, flow waiters), observation
+// states, and deadlock reporting.
 type Proc struct {
 	eng  *Engine
 	name string
 	wake chan struct{}
 	done bool
+
+	// blocked is set from the moment the process blocks or parks until
+	// the event loop resumes it; wait is that block's label, which
+	// deadlock reports print. liveIdx is the process's slot in
+	// Engine.live.
+	blocked bool
+	wait    string
+	liveIdx int
 
 	// light marks a continuation-backed process; cont is the armed
 	// continuation the next resume will invoke (nil while running), and
@@ -281,6 +331,10 @@ type Proc struct {
 	light bool
 	cont  func()
 	start func(*Proc)
+
+	// xfer is the flow a lightweight process's TransferThen is waiting
+	// on; the resume after that wait releases it to the arena.
+	xfer *Flow
 
 	// Observation state (only touched when the engine's observer is
 	// active): current state, when it was entered, and accumulated
@@ -346,8 +400,7 @@ func (e *Engine) newWorker() *worker {
 			if e.obs != nil {
 				e.procStateChange(req.p, stateBlockedQueue)
 			}
-			req.p.done = true
-			e.liveProcs--
+			e.retire(req.p)
 			// Recycle before the event loop runs: a Spawn it makes may
 			// reuse this worker, whose buffered run channel then holds the
 			// request until the loop below has passed control on.
@@ -374,8 +427,7 @@ func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 		w = e.newWorker()
 	}
 	p := &Proc{eng: e, name: name, wake: w.wake}
-	e.liveProcs++
-	e.statSpawns++
+	e.enlist(p)
 	if e.obs != nil {
 		p.state = stateBlockedQueue // parked until the start event fires
 		p.stateSince = e.now
@@ -406,8 +458,7 @@ func (e *Engine) SpawnCont(name string, start func(p *Proc)) *Proc {
 	}
 	p.name = name
 	p.start = start
-	e.liveProcs++
-	e.statSpawns++
+	e.enlist(p)
 	if e.obs != nil {
 		p.state = stateBlockedQueue // parked until the start event fires
 		p.stateSince = e.now
@@ -417,14 +468,31 @@ func (e *Engine) SpawnCont(name string, start func(p *Proc)) *Proc {
 	return p
 }
 
+// enlist counts a new process and adds it to the live list.
+func (e *Engine) enlist(p *Proc) {
+	e.statSpawns++
+	p.liveIdx = len(e.live)
+	e.live = append(e.live, p)
+}
+
+// retire marks p finished and drops it from the live list by swap-delete.
+func (e *Engine) retire(p *Proc) {
+	p.done = true
+	last := len(e.live) - 1
+	moved := e.live[last]
+	e.live[p.liveIdx] = moved
+	moved.liveIdx = p.liveIdx
+	e.live[last] = nil
+	e.live = e.live[:last]
+}
+
 // finishLight retires a completed lightweight process, mirroring the tail
 // of the worker loop for goroutine-backed processes.
 func (e *Engine) finishLight(p *Proc) {
 	if e.obs != nil {
 		e.procStateChange(p, stateBlockedQueue)
 	}
-	p.done = true
-	e.liveProcs--
+	e.retire(p)
 	if e.obs == nil {
 		e.freeLight = append(e.freeLight, p)
 	}
@@ -437,7 +505,7 @@ func (e *Engine) resume(p *Proc) bool {
 	if p.done {
 		panic("sim: resuming finished process " + p.name)
 	}
-	delete(e.blockedProcs, p)
+	p.blocked = false
 	if e.obs != nil {
 		e.procStateChange(p, stateRunning)
 	}
@@ -450,6 +518,10 @@ func (e *Engine) resume(p *Proc) bool {
 	} else {
 		k := p.cont
 		p.cont = nil
+		if f := p.xfer; f != nil {
+			p.xfer = nil
+			e.net.Release(f)
+		}
 		k()
 	}
 	if p.cont == nil {
@@ -478,26 +550,33 @@ func (e *Engine) next() (p *Proc) {
 		}
 	}()
 	for {
-		if e.net.dirty && (len(e.queue) == 0 || e.queue[0].at > e.now) {
-			e.net.flush()
-			continue // the flush schedules the next completion event
-		}
-		if len(e.queue) == 0 {
-			return nil
-		}
-		ev := e.queue.pop()
-		if ev.at < e.now {
-			panic("sim: time went backwards")
-		}
-		e.now = ev.at
-		if e.MaxTime > 0 && e.now > e.MaxTime {
-			e.queue.push(ev) // abort must still release the process it names
-			panic(fmt.Sprintf("sim: exceeded MaxTime %g", e.MaxTime))
+		var ev event
+		if !e.lane.empty() {
+			if q := e.queue; len(q) > 0 && q[0].at == e.now && q[0].seq < e.lane.evs[e.lane.head].seq {
+				ev = e.queue.pop()
+			} else {
+				ev = e.lane.pop()
+			}
+		} else {
+			if e.net.dirty && (len(e.queue) == 0 || e.queue[0].at > e.now) {
+				e.net.flush()
+				continue // the flush schedules the next completion event
+			}
+			if len(e.queue) == 0 {
+				return nil
+			}
+			ev = e.queue.pop()
+			if ev.at < e.now {
+				panic("sim: time went backwards")
+			}
+			e.now = ev.at
+			if e.MaxTime > 0 && e.now > e.MaxTime {
+				panic(fmt.Sprintf("sim: exceeded MaxTime %g", e.MaxTime))
+			}
 		}
 		e.statEvents++
 		if e.statEvents%ctxCheckStride == 0 {
 			if err := e.ctx.Err(); err != nil {
-				e.queue.push(ev)
 				e.stopCause = err
 				return nil
 			}
@@ -535,7 +614,7 @@ func (p *Proc) park(kind procState, why string, k func()) {
 		panic("sim: lightweight process " + p.name + " parked without a continuation")
 	}
 	e := p.eng
-	e.blockedProcs[p] = why
+	p.blocked, p.wait = true, why
 	if e.obs != nil {
 		e.procStateChange(p, kind)
 	}
@@ -553,7 +632,7 @@ func (p *Proc) block(kind procState, why string) {
 		// deferred cleanup sleeping); re-panic rather than park forever.
 		panic(procKilled{})
 	}
-	e.blockedProcs[p] = why
+	p.blocked, p.wait = true, why
 	if e.obs != nil {
 		e.procStateChange(p, kind)
 	}
@@ -647,13 +726,15 @@ func (e *Engine) RunContext(ctx context.Context) error {
 	case e.failure != nil: // re-raised after the abort below
 	case e.stopCause != nil:
 		err = &CanceledError{Time: e.now, Cause: e.stopCause}
-	case e.liveProcs > 0:
-		blocked := make([]BlockedProc, 0, len(e.blockedProcs))
-		for p, why := range e.blockedProcs {
-			blocked = append(blocked, BlockedProc{Name: p.name, Wait: why})
+	case len(e.live) > 0:
+		var blocked []BlockedProc
+		for _, p := range e.live {
+			if p.blocked {
+				blocked = append(blocked, BlockedProc{Name: p.name, Wait: p.wait})
+			}
 		}
-		sort.Slice(blocked, func(i, j int) bool { return blocked[i].Name < blocked[j].Name })
-		err = &DeadlockError{Time: e.now, Live: e.liveProcs, Blocked: blocked}
+		sort.SliceStable(blocked, func(i, j int) bool { return blocked[i].Name < blocked[j].Name })
+		err = &DeadlockError{Time: e.now, Live: len(e.live), Blocked: blocked}
 	default:
 		e.shutdown()
 		return nil
@@ -667,40 +748,26 @@ func (e *Engine) RunContext(ctx context.Context) error {
 
 // abort unwinds every live process and releases all worker goroutines. It
 // runs on the RunContext caller, which holds control once the run has
-// ended. Live processes are parked on their wake channels in one of two
-// places: blocked inside block() (tracked in blockedProcs), or waiting for
-// their start resume event (still in the queue as evResume). Waking them
+// ended. It drops the pending events, then kills each process on the live
+// list: goroutine-backed ones are parked on their wake channels, either
+// blocked inside block() or waiting for their start event. Waking them
 // with killing set makes block() unwind via procKilled and makes the
-// worker skip never-started bodies; either way the worker passes control
-// straight back, so liveProcs drains to zero without running any further
-// simulation.
+// worker skip never-started bodies; either way the worker retires the
+// process and passes control straight back, so the list drains to empty
+// without running any further simulation.
 func (e *Engine) abort() {
 	e.killing = true
-	for len(e.queue) > 0 {
-		ev := e.queue.pop()
-		if ev.kind == evResume {
-			e.kill(ev.proc)
-		}
-	}
-	for len(e.blockedProcs) > 0 {
-		for p := range e.blockedProcs {
-			e.kill(p)
-			break
-		}
+	e.queue, e.lane = nil, eventLane{}
+	for len(e.live) > 0 {
+		e.kill(e.live[len(e.live)-1])
 	}
 	e.shutdown()
 }
 
-// kill unwinds one parked process (no-op if it already finished — a
-// sleeping process appears both in the queue and in blockedProcs).
-// Goroutine-backed processes unwind via the procKilled panic; lightweight
-// processes have no stack to unwind, so dropping the armed continuation
-// retires them directly.
+// kill unwinds one live process. Goroutine-backed processes unwind via
+// the procKilled panic; lightweight processes have no stack to unwind, so
+// dropping the armed continuation retires them directly.
 func (e *Engine) kill(p *Proc) {
-	if p.done {
-		return
-	}
-	delete(e.blockedProcs, p)
 	if p.light {
 		p.cont = nil
 		p.start = nil

@@ -719,18 +719,23 @@ func (p *Proc) Transfer(label string, bytes float64, path []*Resource, ceiling f
 
 // TransferThen is the continuation form of Transfer: it starts the flow
 // and runs k once it completes; an empty transfer runs k immediately,
-// mirroring Transfer's early return.
+// mirroring Transfer's early return. A lightweight process parks on the
+// flow with k armed and records the flow as its own, so the resume that
+// follows the wait releases it before running k, without a wrapper
+// closure.
 func (p *Proc) TransferThen(label string, bytes float64, path []*Resource, ceiling float64, k func()) {
 	if bytes <= 0 {
 		k()
 		return
 	}
-	net := p.eng.net
-	f := net.Start(label, bytes, path, ceiling)
-	p.WaitFlowThen(f, func() {
-		net.Release(f)
+	if !p.light {
+		p.Transfer(label, bytes, path, ceiling)
 		k()
-	})
+		return
+	}
+	f := p.eng.net.Start(label, bytes, path, ceiling)
+	p.WaitFlowThen(f, k)
+	p.xfer = f
 }
 
 // TransferAll starts several flows at once and blocks until every one of

@@ -153,8 +153,8 @@ func TestBodyPanicReachesCaller(t *testing.T) {
 	if got != "x" {
 		t.Fatalf("RunContext returned %v and panicked with %v, want the body's panic value \"x\"", err, got)
 	}
-	if e.liveProcs != 0 {
-		t.Fatalf("%d processes still live after abort", e.liveProcs)
+	if len(e.live) != 0 {
+		t.Fatalf("%d processes still live after abort", len(e.live))
 	}
 	waitGoroutines(t, base)
 }
