@@ -2,17 +2,17 @@
 // simulation engine with a fluid-flow network for modeling bandwidth
 // contention.
 //
-// Processes are coroutines: exactly one goroutine holds control at a time,
-// so simulations are fully deterministic given the same inputs. There is no
-// scheduler goroutine. Whichever goroutine gives up control (a process that
-// blocks, a worker whose process body just returned, or the RunContext
-// caller at start) runs the event loop itself until an event resumes a
-// goroutine-backed process, then hands control straight to that process
-// through its single-slot wake channel, or simply returns if the process is
-// itself. Time is a float64 in seconds; simultaneous events fire in the
-// order they were scheduled. Events for later instants wait in a binary
-// heap; events for the current instant, about half of all events in the
-// MPI workloads, skip it through a FIFO lane.
+// Processes are runtime coroutines (iter.Pull), and only one of them or the
+// RunContext caller runs at a time, so simulations are fully deterministic
+// given the same inputs. There is no scheduler goroutine. Whoever gives up
+// control (a blocking process, a coroutine whose process body returned, or
+// the RunContext caller at start) runs the event loop itself until an event
+// resumes a goroutine-backed process: a process that finds itself returns,
+// and otherwise yields that process to the caller, which switches into it.
+// Time is a float64 in seconds; simultaneous events fire in the order they
+// were scheduled. Events for later instants wait in a binary heap; events
+// for the current instant, about half of all events in the MPI workloads,
+// skip it through a FIFO lane.
 //
 // Bandwidth-shared activities (memory streams, message copies) are modeled
 // as flows over paths of capacity-limited resources. Rates are assigned by
@@ -90,11 +90,6 @@ type Engine struct {
 	queue eventHeap // events after now
 	lane  eventLane // events at now, in schedule order
 
-	// yield returns control to the RunContext caller: whoever holds control
-	// when the run ends sends on it, and so does each process that abort
-	// has unwound.
-	yield chan struct{}
-
 	// ctx is the running RunContext's context, polled by whichever
 	// goroutine holds control. stopCause and failure tell the RunContext
 	// caller why the run ended early: the context's error, or the value of
@@ -103,7 +98,7 @@ type Engine struct {
 	stopCause error
 	failure   any
 
-	// handoffs counts resumes that moved control to another goroutine.
+	// handoffs counts the coroutine resumes the RunContext caller makes.
 	handoffs uint64
 
 	// live lists every spawned process that has not finished, in no
@@ -111,14 +106,14 @@ type Engine struct {
 	// at spawn and finish; deadlock reporting and abort walk it.
 	live []*Proc
 
-	// killing is set by abort: woken processes unwind via a procKilled
+	// killing is set by abort: resumed processes unwind via a procKilled
 	// panic instead of resuming their bodies, so cancellation and
-	// deadlock detection release every goroutine instead of leaking
-	// parked workers for the life of the process.
+	// deadlock detection release every coroutine instead of leaking
+	// suspended workers for the life of the process.
 	killing bool
 
-	// idleWorkers are parked goroutines from finished processes, reused by
-	// Spawn so steady-state process churn creates no new goroutines.
+	// idleWorkers are suspended coroutines from finished processes, reused
+	// by Spawn so steady-state process churn creates no new coroutines.
 	idleWorkers []*worker
 
 	// freeLight recycles finished lightweight processes (SpawnCont) so
@@ -145,7 +140,7 @@ type Engine struct {
 
 // NewEngine creates an empty simulation.
 func NewEngine() *Engine {
-	e := &Engine{yield: make(chan struct{}, 1)}
+	e := &Engine{}
 	e.net = &FlowNet{eng: e}
 	return e
 }
@@ -301,10 +296,11 @@ func (e *Engine) scheduleResume(t float64, p *Proc) {
 // the process's own body function.
 //
 // A Proc has one of two backings. Goroutine-backed processes (Spawn) run
-// arbitrary re-entrant bodies that block mid-call-stack; a blocked process
-// runs the event loop on its own goroutine, so resuming itself costs no
-// channel operation and resuming another goroutine-backed process costs
-// one handoff. Lightweight processes (SpawnCont) have no goroutine at all:
+// arbitrary re-entrant bodies that block mid-call-stack, each on a pooled
+// coroutine (worker); a blocked process runs the event loop on its own
+// stack, so resuming itself costs no switch and resuming another
+// goroutine-backed process costs two coroutine switches through the
+// RunContext caller. Lightweight processes (SpawnCont) have no stack at all:
 // their body is a chain of explicit continuations that the event loop
 // invokes inline on whichever goroutine holds control, so blocking costs
 // storing one func value instead of a stack. Both backings share the same
@@ -313,7 +309,7 @@ func (e *Engine) scheduleResume(t float64, p *Proc) {
 type Proc struct {
 	eng  *Engine
 	name string
-	wake chan struct{}
+	w    *worker // nil for lightweight processes
 	done bool
 
 	// blocked is set from the moment the process blocks or parks until
@@ -353,32 +349,16 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current simulated time.
 func (p *Proc) Now() float64 { return p.eng.now }
 
-// worker is a reusable goroutine that runs process bodies one after
-// another. Each worker owns one wake channel; the Proc handed to it
-// borrows that channel for its lifetime, which ends before the worker is
-// recycled, so tokens can never leak between processes. When a body
-// returns, the worker still holds control: it runs the event loop and
-// passes control on before waiting for its next body.
-type worker struct {
-	run  chan spawnReq
-	wake chan struct{}
-}
-
-type spawnReq struct {
-	p    *Proc
-	body func(*Proc)
-}
-
 // procKilled is the panic value used to unwind a blocked process during
-// abort; the worker loop swallows it and recycles the goroutine.
+// abort; the worker loop swallows it and recycles the coroutine.
 type procKilled struct{}
 
 // runBody executes a process body, absorbing the procKilled unwind that
 // abort injects into blocked processes. Any other panic becomes the run's
-// failure, which RunContext re-raises on its caller once every goroutine
+// failure, which RunContext re-raises on its caller once every coroutine
 // is released: a workload bug must surface where the caller can isolate
-// it, not crash the program from a worker goroutine.
-func (e *Engine) runBody(req spawnReq) {
+// it, not unwind whichever coroutine happened to run the body.
+func (e *Engine) runBody(p *Proc, body func(*Proc)) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(procKilled); !ok && e.failure == nil {
@@ -386,33 +366,7 @@ func (e *Engine) runBody(req spawnReq) {
 			}
 		}
 	}()
-	req.body(req.p)
-}
-
-func (e *Engine) newWorker() *worker {
-	w := &worker{run: make(chan spawnReq, 1), wake: make(chan struct{}, 1)}
-	go func() {
-		for req := range w.run {
-			<-req.p.wake
-			if !e.killing { // a kill before first resume skips the body entirely
-				e.runBody(req)
-			}
-			if e.obs != nil {
-				e.procStateChange(req.p, stateBlockedQueue)
-			}
-			e.retire(req.p)
-			// Recycle before the event loop runs: a Spawn it makes may
-			// reuse this worker, whose buffered run channel then holds the
-			// request until the loop below has passed control on.
-			e.idleWorkers = append(e.idleWorkers, w)
-			if e.killing || e.failure != nil {
-				e.pass(nil) // back to abort, or to the caller to re-raise
-			} else {
-				e.pass(e.next())
-			}
-		}
-	}()
-	return w
+	body(p)
 }
 
 // Spawn creates a process that will begin executing body at the current
@@ -426,14 +380,14 @@ func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 	} else {
 		w = e.newWorker()
 	}
-	p := &Proc{eng: e, name: name, wake: w.wake}
+	p := &Proc{eng: e, name: name, w: w}
+	w.p, w.body = p, body
 	e.enlist(p)
 	if e.obs != nil {
 		p.state = stateBlockedQueue // parked until the start event fires
 		p.stateSince = e.now
 		e.obs.procs = append(e.obs.procs, p)
 	}
-	w.run <- spawnReq{p: p, body: body}
 	e.scheduleResume(e.now, p)
 	return p
 }
@@ -500,7 +454,7 @@ func (e *Engine) finishLight(p *Proc) {
 
 // resume marks p running. A lightweight process runs its next step
 // inline; for a goroutine-backed one resume reports true, and the caller
-// must hand control to p's goroutine.
+// must switch to p's coroutine.
 func (e *Engine) resume(p *Proc) bool {
 	if p.done {
 		panic("sim: resuming finished process " + p.name)
@@ -530,13 +484,13 @@ func (e *Engine) resume(p *Proc) bool {
 	return false
 }
 
-// next runs events on the calling goroutine, which holds control, until
-// one resumes a goroutine-backed process or the run ends. It returns that
+// next runs events on the calling stack, which holds control, until one
+// resumes a goroutine-backed process or the run ends. It returns that
 // process, already marked running, or nil once the queue has drained, the
 // context is canceled (stopCause) or an event panicked (failure).
 // Continuations, flow checks and At callbacks run inline; a panic in any
 // of them is recovered here, so it ends the run instead of unwinding the
-// body of the process whose goroutine happens to hold control.
+// body of the process whose coroutine happens to hold control.
 //
 // Between the last event of a timestamp and the first event of the next,
 // the loop flushes any pending flow-network changes: admissions
@@ -594,18 +548,6 @@ func (e *Engine) next() (p *Proc) {
 	}
 }
 
-// pass gives up control: to next, the goroutine-backed process the event
-// loop stopped at, or to the RunContext caller when next is nil because
-// the run is over.
-func (e *Engine) pass(next *Proc) {
-	if next == nil {
-		e.yield <- struct{}{}
-		return
-	}
-	e.handoffs++
-	next.wake <- struct{}{}
-}
-
 // park records a lightweight process as blocked and arms k as the step to
 // run when it is next resumed. It is the continuation-backed analogue of
 // block.
@@ -623,8 +565,10 @@ func (p *Proc) park(kind procState, why string, k func()) {
 
 // block parks the process until it is woken. It runs the event loop
 // itself and returns at once if the loop stops at p's own resume;
-// otherwise it passes control on and waits on p's wake channel. The kind
-// classifies the wait for observation; why labels it in deadlock reports.
+// otherwise it yields the process the loop stopped at (nil once the run
+// is over) to the RunContext caller and returns when the caller resumes
+// p. The kind classifies the wait for observation; why labels it in
+// deadlock reports.
 func (p *Proc) block(kind procState, why string) {
 	e := p.eng
 	if e.killing {
@@ -636,14 +580,10 @@ func (p *Proc) block(kind procState, why string) {
 	if e.obs != nil {
 		e.procStateChange(p, kind)
 	}
-	next := e.next()
-	if next == p {
-		return
-	}
-	e.pass(next)
-	<-p.wake
-	if e.killing {
-		panic(procKilled{})
+	if next := e.next(); next != p {
+		if !p.w.yield(next) || e.killing {
+			panic(procKilled{})
+		}
 	}
 }
 
@@ -705,21 +645,25 @@ func (e *Engine) Run() {
 // watchdog that turns a would-be silent hang into a diagnosis naming the
 // blocked processes and their wait labels.
 //
+// The calling goroutine resumes every process coroutine: it runs the event
+// loop until the first resume, then switches into each process that a
+// blocking or finishing process yields to it.
+//
 // A panic raised by an event callback, a continuation, the flow network
 // or a goroutine-backed process body ends the run wherever it happens: the
-// engine releases its goroutines and RunContext re-raises the panic value
+// engine releases its coroutines and RunContext re-raises the panic value
 // on its caller, so the caller's isolation layer sees it.
 //
-// On any return the engine has released every goroutine it created;
+// On any return the engine has released every coroutine it created;
 // a non-nil error leaves the simulation state unusable (create a fresh
 // engine per run, as every caller in this repository already does).
 func (e *Engine) RunContext(ctx context.Context) error {
 	e.ctx = ctx
 	if e.stopCause = ctx.Err(); e.stopCause == nil {
-		// Run the event loop here until control first leaves this
-		// goroutine, then wait for whoever holds it when the run ends.
-		e.pass(e.next())
-		<-e.yield
+		for p := e.next(); p != nil; {
+			e.handoffs++
+			p, _ = p.w.resume()
+		}
 	}
 	var err error
 	switch {
@@ -746,15 +690,15 @@ func (e *Engine) RunContext(ctx context.Context) error {
 	return err
 }
 
-// abort unwinds every live process and releases all worker goroutines. It
+// abort unwinds every live process and releases all worker coroutines. It
 // runs on the RunContext caller, which holds control once the run has
 // ended. It drops the pending events, then kills each process on the live
-// list: goroutine-backed ones are parked on their wake channels, either
-// blocked inside block() or waiting for their start event. Waking them
+// list: goroutine-backed ones are suspended in their coroutines, either
+// blocked inside block() or waiting for their start event. Resuming them
 // with killing set makes block() unwind via procKilled and makes the
 // worker skip never-started bodies; either way the worker retires the
-// process and passes control straight back, so the list drains to empty
-// without running any further simulation.
+// process and yields straight back, so the list drains to empty without
+// running any further simulation.
 func (e *Engine) abort() {
 	e.killing = true
 	e.queue, e.lane = nil, eventLane{}
@@ -774,16 +718,15 @@ func (e *Engine) kill(p *Proc) {
 		e.finishLight(p)
 		return
 	}
-	p.wake <- struct{}{}
-	<-e.yield
+	p.w.resume()
 }
 
-// shutdown releases the idle worker goroutines so engines do not pin
+// shutdown stops the idle worker coroutines so engines do not pin
 // goroutines after their run completes, and folds the engine's activity
 // counters into the process-wide totals.
 func (e *Engine) shutdown() {
 	for i, w := range e.idleWorkers {
-		close(w.run)
+		w.stop()
 		e.idleWorkers[i] = nil
 	}
 	e.idleWorkers = e.idleWorkers[:0]

@@ -12,8 +12,10 @@ import (
 )
 
 // waitGoroutines fails the test unless the goroutine count falls back to
-// base. A released worker exits shortly after RunContext returns and its
-// exit has no event to wait on, so the count is polled until a deadline.
+// base. Stopped worker coroutines have exited when RunContext returns,
+// but a goroutine a test starts to run an engine exits shortly after it
+// signals, with no event to wait on, so the count is polled until a
+// deadline.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -33,9 +35,10 @@ func runRecover(e *Engine) (err error, panicked any) {
 	return e.RunContext(context.Background()), nil
 }
 
-// TestHandoffCounts pins the direct-handoff contract: a process that the
-// event loop resumes on its own goroutine costs no handoff, and resuming a
-// different goroutine-backed process costs exactly one.
+// TestHandoffCounts pins the switch contract: a process that the event
+// loop resumes on its own coroutine costs no handoff, and resuming a
+// different goroutine-backed process costs exactly one, the RunContext
+// caller's resume of its coroutine.
 func TestHandoffCounts(t *testing.T) {
 	for _, n := range []int{0, 1000} {
 		e := NewEngine()
@@ -84,9 +87,70 @@ func TestHandoffCounts(t *testing.T) {
 		step()
 	})
 	e.Run()
-	// The continuation runs inline on g's goroutine between g's resumes.
+	// The continuation runs inline on g's coroutine between g's resumes.
 	if e.handoffs != 1 {
 		t.Errorf("process interleaved with a continuation: %d handoffs, want 1", e.handoffs)
+	}
+}
+
+// TestWorkerReuseAtBodyExit: when a process body returns, its worker
+// joins the free list before it runs the event loop. An At callback at
+// that instant that spawns a process reuses that worker, and when the
+// loop then stops at the new process's start, the finishing coroutine
+// runs the new body itself with no switch. If the callback first wakes
+// another process, that one runs first, and the new process starts
+// later through the caller like any other.
+func TestWorkerReuseAtBodyExit(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		other    bool
+		want     []string
+		handoffs uint64
+	}{
+		// The one handoff starts first.
+		{"starts at once", false, []string{"1 first done", "1 at", "1 second start", "2 second done"}, 1},
+		// Starting first and other, resuming first at t=1, then other
+		// and second.
+		{"starts later", true, []string{"1 first done", "1 at", "1 other", "1 second start", "2 second done"}, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			e := NewEngine()
+			var log []string
+			note := func(what string) { log = append(log, fmt.Sprintf("%g %s", e.Now(), what)) }
+			var q WaitQueue
+			var second *Proc
+			first := e.Spawn("first", func(p *Proc) {
+				p.Sleep(1)
+				note("first done")
+				e.At(1, func() {
+					note("at")
+					q.WakeOne(e)
+					second = e.Spawn("second", func(p *Proc) {
+						note("second start")
+						p.Sleep(1)
+						note("second done")
+					})
+				})
+			})
+			if tc.other {
+				e.Spawn("other", func(p *Proc) {
+					q.Wait(p, "other")
+					note("other")
+				})
+			}
+			e.Run()
+			if fmt.Sprint(log) != fmt.Sprint(tc.want) {
+				t.Errorf("fired %q, want %q", log, tc.want)
+			}
+			if second == nil || second.w != first.w {
+				t.Error("the spawn at body exit did not reuse the finished process's worker")
+			}
+			if e.handoffs != tc.handoffs {
+				t.Errorf("%d handoffs, want %d", e.handoffs, tc.handoffs)
+			}
+			waitGoroutines(t, base)
+		})
 	}
 }
 

@@ -122,6 +122,33 @@ func TestFlowChurnAllocsBounded(t *testing.T) {
 	}
 }
 
+// spawnChurn runs one engine in which a parent process spawns n children
+// one after another; each child's body returns at once, so every spawn
+// after the first reuses the worker the previous child freed.
+func spawnChurn(n int) {
+	e := NewEngine()
+	child := func(*Proc) {}
+	e.Spawn("parent", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			e.Spawn("child", child)
+			p.Sleep(1)
+		}
+	})
+	e.Run()
+}
+
+// TestSpawnChurnAllocs: in steady state a goroutine-backed Spawn and its
+// finish allocate at most one object, the *Proc. The worker coroutine
+// and its closures are pooled, so a coroutine created per spawn (about
+// ten objects) fails this.
+func TestSpawnChurnAllocs(t *testing.T) {
+	const small, large = 1000, 2000
+	extra := steadyStateAllocs(small, large, spawnChurn)
+	if extra > large-small+50 {
+		t.Errorf("%d extra spawns allocated %d times, want at most one each", large-small, extra)
+	}
+}
+
 // TestWaitQueueStorageBounded: the head-indexed ring must keep its backing
 // array at a small multiple of the live waiter count under sustained churn,
 // instead of growing with the total number of Wait calls.
@@ -168,7 +195,7 @@ func BenchmarkEventSchedule(b *testing.B) {
 
 // BenchmarkProcHandoff measures a lone process's block/resume cycle: one
 // zero-length sleep per iteration. The event loop runs on the process's
-// own goroutine and resumes it there, so the cycle makes no handoff.
+// own coroutine and resumes it there, so the cycle makes no switch.
 func BenchmarkProcHandoff(b *testing.B) {
 	e := NewEngine()
 	n := b.N
@@ -183,8 +210,10 @@ func BenchmarkProcHandoff(b *testing.B) {
 }
 
 // BenchmarkProcSwitch measures a switch between two goroutine-backed
-// processes whose sleeps interleave: every resume hands control to the
-// other goroutine. One iteration is one resume.
+// processes whose sleeps interleave: every resume passes control to the
+// other process's coroutine, which costs two coroutine switches (the
+// blocking process yields to the RunContext caller, which resumes the
+// other). One iteration is one resume.
 func BenchmarkProcSwitch(b *testing.B) {
 	e := NewEngine()
 	for k := 0; k < 2; k++ {
@@ -198,6 +227,14 @@ func BenchmarkProcSwitch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
+}
+
+// BenchmarkSpawnChurn measures a goroutine-backed process's lifetime on
+// a pooled worker: spawn, start, return, and the parent's resume. One
+// iteration is one spawn.
+func BenchmarkSpawnChurn(b *testing.B) {
+	b.ReportAllocs()
+	spawnChurn(b.N)
 }
 
 // BenchmarkSettleCoalesce measures a 16-flow fan-out admitted at one

@@ -27,6 +27,11 @@ import (
 // A trailing "/D" splits every socket into D equal chiplet dies joined
 // by an on-package fabric (see System.DiesPerSocket): "line:2x32/4" is a
 // two-socket EPYC-style machine with four 8-core dies per socket.
+//
+// Specs arrive from untrusted sweep submissions, and building a system
+// precomputes a route for every socket pair, so Parse rejects more than
+// MaxSockets sockets or MaxCoresPerSocket cores (or dies) per socket
+// before it allocates anything.
 func Parse(spec string) (*System, error) {
 	kind, rest, ok := strings.Cut(spec, ":")
 	if !ok {
@@ -35,7 +40,7 @@ func Parse(spec string) (*System, error) {
 	dies := 1
 	if body, d, found := strings.Cut(rest, "/"); found {
 		v, err := strconv.Atoi(d)
-		if err != nil || v < 1 {
+		if err != nil || v < 1 || v > MaxCoresPerSocket {
 			return nil, fmt.Errorf("topology: bad die count %q in %q", d, spec)
 		}
 		dies, rest = v, body
@@ -58,6 +63,10 @@ func Parse(spec string) (*System, error) {
 	var classes []CoreClass
 	for i, d := range dims {
 		if v, err := strconv.Atoi(d); err == nil && v > 0 {
+			if i == coresIdx && v > MaxCoresPerSocket || i != coresIdx && v > MaxSockets {
+				return nil, fmt.Errorf("topology: dimension %s in %q exceeds the limit (%d sockets, %d cores per socket)",
+					d, spec, MaxSockets, MaxCoresPerSocket)
+			}
 			nums[i] = v
 			continue
 		}
@@ -80,6 +89,9 @@ func Parse(spec string) (*System, error) {
 			cores = nums[2]
 		}
 		rows, cols := nums[0], nums[1]
+		if rows*cols > MaxSockets {
+			return nil, fmt.Errorf("topology: %q has %d sockets, more than %d", spec, rows*cols, MaxSockets)
+		}
 		if classes == nil && dies == 1 {
 			return Ladder(spec, rows, cols, cores), nil
 		}
@@ -148,6 +160,7 @@ func fabricLinks(kind string, n int) ([]Link, error) {
 func parseClasses(tok, spec string) ([]CoreClass, error) {
 	parts := strings.Split(tok, "+")
 	out := make([]CoreClass, 0, len(parts))
+	total := 0
 	for _, p := range parts {
 		i := 0
 		for i < len(p) && p[i] >= '0' && p[i] <= '9' {
@@ -156,6 +169,9 @@ func parseClasses(tok, spec string) ([]CoreClass, error) {
 		count, err := strconv.Atoi(p[:i])
 		if err != nil || count <= 0 {
 			return nil, fmt.Errorf("topology: bad core class %q in %q", p, spec)
+		}
+		if total += count; total > MaxCoresPerSocket {
+			return nil, fmt.Errorf("topology: core classes in %q exceed %d cores per socket", spec, MaxCoresPerSocket)
 		}
 		name := p[i:]
 		for _, r := range name {

@@ -1,6 +1,9 @@
 package topology
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 func TestParseLadderMatchesLongs(t *testing.T) {
 	got, err := Parse("ladder:4x2")
@@ -76,6 +79,37 @@ func TestParsedTopologiesRouteCorrectly(t *testing.T) {
 					t.Fatalf("%s: route/hops mismatch %d->%d", spec, a, b)
 				}
 			}
+		}
+	}
+}
+
+// allocBytes returns the bytes fn allocates on the heap.
+func allocBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestParseBoundsUntrustedSizes: a spec past MaxSockets sockets or
+// MaxCoresPerSocket cores or dies per socket is rejected before any
+// per-socket or per-core storage is built. Without the bound, line:512
+// allocated 2.7 GB of all-pairs routes.
+func TestParseBoundsUntrustedSizes(t *testing.T) {
+	for _, bad := range []string{
+		"line:2032", "xbar:100000", "sock:100000000", "ring:65", "ladder:9x8",
+		"ladder:100000x100000", "line:2x257", "sock:200P+57E", "sock:4/100000000",
+		"line:9223372036854775807", "sock:9223372036854775807P+9223372036854775807E",
+	} {
+		var err error
+		if n := allocBytes(func() { _, err = Parse(bad) }); err == nil || n > 1<<20 {
+			t.Errorf("Parse(%q): err %v after allocating %d bytes, want an error under 1 MB", bad, err, n)
+		}
+	}
+	for _, ok := range []string{"line:64x256", "ladder:8x8", "xbar:64", "sock:128P+128E/256"} {
+		if _, err := Parse(ok); err != nil {
+			t.Errorf("Parse(%q) at the limits: %v", ok, err)
 		}
 	}
 }

@@ -60,6 +60,15 @@ type DirectedLink struct {
 	Reverse bool
 }
 
+// Limits on the systems Parse and Reshape build. A system precomputes
+// all-pairs routes, O(sockets² × hops) of memory, so these bounds cap
+// what an untrusted spec can cost at a few MB. The largest shipped or
+// tested machine has 8 sockets and 32 cores per socket.
+const (
+	MaxSockets        = 64
+	MaxCoresPerSocket = 256
+)
+
 // New builds a system from socket/core counts and a link list, and
 // precomputes all shortest routes. It panics on disconnected topologies:
 // every socket must reach every other.
@@ -153,7 +162,7 @@ func (s *System) Reshape(classes []CoreClass, diesPerSocket int) (*System, error
 	}
 	per := 0
 	for _, cl := range classes {
-		if cl.PerSocket <= 0 {
+		if cl.PerSocket <= 0 || cl.PerSocket > MaxCoresPerSocket {
 			return nil, fmt.Errorf("topology: class %q has %d cores per socket", cl.Name, cl.PerSocket)
 		}
 		if len(classes) > 1 && cl.Name == "" {
