@@ -4,9 +4,8 @@
 // Usage:
 //
 //	mcbench [-scale quick|full] [-format text|md|csv] [-out DIR] [-j N]
-//	        [-store DIR] [-resume] [-timeout D] [-json FILE] [-delta FILE]
-//	        [-delta-tol F] [-faults PLAN] [-fault-seed N]
-//	        [-retries N] <id>...|all|list
+//	        [-store DIR] [-resume] [-timeout D] [-faults PLAN]
+//	        [-fault-seed N] [-retries N] <id>...|all|list
 //	mcbench -sweep GRID [-remote URL] [-priority N] [-client ID]
 //	        [-screen] [-promote-margin F]
 //	        [-uncertainty-bound F] [-calibrate] [flags]
@@ -63,16 +62,13 @@ import (
 	"syscall"
 	"time"
 
-	"multicore/internal/affinity"
 	"multicore/internal/analytic"
 	"multicore/internal/experiments"
 	"multicore/internal/fault"
 	"multicore/internal/report"
 	"multicore/internal/schema"
-	"multicore/internal/sim"
 	"multicore/internal/store"
 	"multicore/internal/sweepd"
-	"multicore/internal/workload"
 )
 
 func main() {
@@ -84,9 +80,6 @@ func main() {
 	storeDir := flag.String("store", "", "directory of the persistent cell-result store (created if missing)")
 	resume := flag.Bool("resume", false, "with -store: re-run cells whose stored status is error instead of reporting the recorded failure")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per simulated cell (0 = unbounded), e.g. 30s")
-	jsonOut := flag.String("json", "", "write per-experiment benchmark records (wall time, events, settles, allocs, ranks, peak heap) to FILE; runs experiments serially")
-	deltaFile := flag.String("delta", "", "with -json: compare the new records against the committed snapshot FILE and fail on a >10% wall-time or allocation regression")
-	note := flag.String("note", "", "free-form note recorded in the -json output")
 	faults := flag.String("faults", "", `deterministic fault plan injected into every cell, e.g. "noise:core=3,period=1ms,frac=0.1;linkdown:s0-s1,t=2ms..5ms"`)
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the fault plan's random draws (phases, cell failures)")
 	retries := flag.Int("retries", 0, "re-attempts per cell that fails with a transient fault (0 = no retry)")
@@ -98,12 +91,10 @@ func main() {
 	promoteMargin := flag.Float64("promote-margin", sweepd.DefaultPromoteMargin, "with -screen: fractional closeness of two schemes' estimates that promotes both to simulation")
 	uncBound := flag.Float64("uncertainty-bound", sweepd.DefaultUncertaintyBound, "with -screen: model uncertainty above which a cell promotes to simulation")
 	calibrate := flag.Bool("calibrate", false, "with -store: fit per-workload-class correction factors from stored simulation results and report residual error (applied to -screen estimates)")
-	screenBench := flag.Int("screen-bench", 0, "with -json: benchmark analytic screening over a synthetic grid of at least N cells and record the throughput")
-	deltaTol := flag.Float64("delta-tol", 0.10, "with -delta: fractional wall-time/allocation regression tolerated before failing")
 	flag.Usage = usage
 	flag.Parse()
 
-	if flag.NArg() == 0 && *sweep == "" && !*calibrate && *screenBench == 0 {
+	if flag.NArg() == 0 && *sweep == "" && !*calibrate {
 		usage()
 		os.Exit(2)
 	}
@@ -121,20 +112,11 @@ func main() {
 	if *retries < 0 {
 		fatalf("-retries must be non-negative")
 	}
-	if *deltaFile != "" && *jsonOut == "" {
-		fatalf("-delta needs -json FILE (there are no records to compare)")
-	}
-	if *deltaTol <= 0 {
-		fatalf("-delta-tol must be positive")
-	}
 	if *screen && *sweep == "" {
 		fatalf("-screen needs -sweep GRID (paper artifacts always simulate)")
 	}
 	if *calibrate && *storeDir == "" {
 		fatalf("-calibrate needs -store DIR (calibration fits against stored simulation results)")
-	}
-	if *screenBench != 0 && *jsonOut == "" {
-		fatalf("-screen-bench needs -json FILE (it records a benchmark)")
 	}
 	if *priority < 0 || *priority > sweepd.MaxPriority {
 		fatalf("-priority must be between 0 and %d", sweepd.MaxPriority)
@@ -145,9 +127,6 @@ func main() {
 	if *client == "" {
 		host, _ := os.Hostname()
 		*client = host
-	}
-	if *screenBench < 0 {
-		fatalf("-screen-bench must be non-negative")
 	}
 	opts := experiments.Options{
 		Parallelism:  *jobs,
@@ -200,9 +179,6 @@ func main() {
 		if flag.NArg() != 0 {
 			fatalf("-sweep and experiment ids are mutually exclusive")
 		}
-		if *jsonOut != "" {
-			fatalf("-json applies to paper artifacts, not -sweep grids")
-		}
 		cfg := screenCfg{enabled: *screen, margin: *promoteMargin, bound: *uncBound, calibrate: *calibrate}
 		runSweep(ctx, *sweep, *remote, *scale, opts, render, *faults, *faultSeed, *retries, *jobs, *storeDir, cfg, *client, *priority)
 		return
@@ -253,10 +229,10 @@ func main() {
 	// failure) reports its error and the rest of the sweep continues.
 	outputs := make([]string, len(exps))
 	errs := make([]error, len(exps))
-	runOne := func(r *experiments.Runner, i int) {
+	runOne := func(i int) {
 		e := exps[i]
 		fmt.Fprintf(os.Stderr, "running %s: %s\n", e.ID, e.Title)
-		tables, err := r.Run(e, sc)
+		tables, err := runner.Run(e, sc)
 		if err != nil {
 			errs[i] = err
 			return
@@ -269,51 +245,11 @@ func main() {
 		}
 		outputs[i] = b.String()
 	}
-	switch {
-	case *jsonOut != "":
-		// Benchmark mode: experiments run one at a time (cells still use
-		// the worker pool) so the activity/allocation deltas measured
-		// around each one are attributable to it. Each experiment gets a
-		// fresh runner so shared cells are re-simulated and the timings
-		// reflect actual simulation work. The persistent store is
-		// deliberately not consulted here for the same reason.
-		benchOpts := opts
-		benchOpts.Store = nil
-		// Peak heap is only attributable to an experiment when its cells
-		// run serially: with -j > 1 the sampled peak spans however many
-		// cells were in flight, so the column is omitted rather than
-		// recording a misleading per-experiment number.
-		sampleHeap := *jobs <= 1
-		if !sampleHeap {
-			fmt.Fprintf(os.Stderr, "mcbench: -j %d > 1: peak_heap_bytes omitted from %s (peaks are only per-experiment when cells run serially)\n",
-				*jobs, *jsonOut)
-		}
-		records := make([]benchRecord, len(exps))
+	if *jobs <= 1 || len(exps) == 1 {
 		for i := range exps {
-			r := experiments.NewRunner(ctx, benchOpts)
-			records[i] = measure(exps[i].ID, sampleHeap, func() { runOne(r, i) })
+			runOne(i)
 		}
-		var sInfo *screenInfo
-		if *screenBench > 0 {
-			var rec benchRecord
-			rec, sInfo = measureScreen(*screenBench)
-			records = append(records, rec)
-			fmt.Fprintf(os.Stderr, "mcbench: screened %d cells in %.3fs (%.0f cells/sec, single-threaded)\n",
-				sInfo.Cells, sInfo.Seconds, sInfo.CellsPerSec)
-		}
-		writeBenchJSON(*jsonOut, *note, *scale, records, sInfo)
-		if *deltaFile != "" {
-			if err := checkBenchDelta(*deltaFile, records, *deltaTol); err != nil {
-				fmt.Fprintf(os.Stderr, "mcbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "mcbench: no regression against %s (tolerance %.0f%%)\n", *deltaFile, 100**deltaTol)
-		}
-	case *jobs <= 1 || len(exps) == 1:
-		for i := range exps {
-			runOne(runner, i)
-		}
-	default:
+	} else {
 		// Experiment-level fan-out uses plain goroutines gated by their
 		// own semaphore so they never hold cell-pool slots while waiting.
 		sem := make(chan struct{}, *jobs)
@@ -324,7 +260,7 @@ func main() {
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				runOne(runner, i)
+				runOne(i)
 			}(i)
 		}
 		wg.Wait()
@@ -334,7 +270,7 @@ func main() {
 	failed := 0
 	for i, e := range exps {
 		if errs[i] != nil {
-			if !isCancellation(errs[i]) {
+			if !experiments.IsCanceled(errs[i]) {
 				fmt.Fprintf(os.Stderr, "mcbench: %s failed: %v\n", e.ID, errs[i])
 				failed++
 			}
@@ -512,210 +448,6 @@ func calibrateEstimator(e *analytic.Estimator, st *store.Store) (analytic.Calibr
 	e.SetCalibration(cal.Factors)
 	fmt.Fprint(os.Stderr, cal.String())
 	return cal, nil
-}
-
-// screenInfo is the throughput record of a -screen-bench run.
-type screenInfo struct {
-	Cells       int     `json:"cells"`
-	Seconds     float64 `json:"seconds"`
-	CellsPerSec float64 `json:"cells_per_sec"`
-}
-
-// measureScreen benchmarks the analytic screening tier single-threaded
-// over a synthetic grid of at least minCells cells: every registry
-// workload × every system × every placement scheme, with the rank
-// dimension grown until the grid is big enough. The wall time and
-// allocation count land in the benchmark records (id "screen") so the
-// delta gate tracks screening regressions like any experiment.
-func measureScreen(minCells int) (benchRecord, *screenInfo) {
-	systems := []string{"tiger", "dmz", "longs"}
-	schemes := make([]string, len(affinity.Schemes))
-	for i, s := range affinity.Schemes {
-		schemes[i] = s.CLIName()
-	}
-	workloads := workload.Names()
-	per := len(workloads) * len(systems) * len(schemes)
-	maxRanks := (minCells + per - 1) / per
-	ranks := make([]int, maxRanks)
-	for i := range ranks {
-		ranks[i] = i + 1
-	}
-	g := sweepd.Grid{Workloads: workloads, Systems: systems, Ranks: ranks, Schemes: schemes, Scale: "quick"}
-	e := analytic.New()
-	var n int
-	rec := measure("screen", false, func() {
-		n = len(sweepd.ScreenGrid(e, g, sweepd.ScreenOptions{}))
-	})
-	return rec, &screenInfo{Cells: n, Seconds: rec.Seconds, CellsPerSec: float64(n) / rec.Seconds}
-}
-
-// isCancellation reports whether err only says "the sweep was stopped".
-func isCancellation(err error) bool {
-	var ce *sim.CanceledError
-	return errors.As(err, &ce) ||
-		errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded)
-}
-
-// benchRecord is one experiment's measured cost: wall time plus the
-// simulation activity (engine events, flow-network settling passes, flows,
-// processes spawned) and heap behavior it exhibited. Ranks counts every
-// simulated process — MPI ranks plus transient helpers — so
-// peak_heap_bytes/ranks is the memory-per-rank figure scale regressions
-// show up in.
-type benchRecord struct {
-	ID      string  `json:"id"`
-	Seconds float64 `json:"seconds"`
-	Events  uint64  `json:"events"`
-	Flows   uint64  `json:"flows"`
-	Settles uint64  `json:"settles"`
-	Mallocs uint64  `json:"mallocs"`
-	Ranks   uint64  `json:"ranks"`
-	// PeakHeapBytes is omitted (zero) when the worker pool is active
-	// (-j > 1): a sampled peak spanning concurrent cells is not a
-	// per-experiment number.
-	PeakHeapBytes uint64 `json:"peak_heap_bytes,omitempty"`
-}
-
-// measure runs fn and attributes the process-wide activity and allocation
-// deltas to it; only valid when experiments run one at a time. Peak heap
-// is sampled by a 10ms ticker (plus a final read), so it is a lower bound
-// that is within one GC cycle of the true peak — stable enough for the
-// order-of-magnitude bytes-per-rank tracking the snapshots do. With
-// sampleHeap false (cells run on a parallel pool) the peak is not
-// sampled and the record's PeakHeapBytes stays zero.
-func measure(id string, sampleHeap bool, fn func()) benchRecord {
-	var m0, m1 runtime.MemStats
-	ev0, fl0, st0, sp0 := sim.Activity()
-	runtime.ReadMemStats(&m0)
-	peak := m0.HeapAlloc
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	if sampleHeap {
-		go func() {
-			defer close(done)
-			t := time.NewTicker(10 * time.Millisecond)
-			defer t.Stop()
-			var m runtime.MemStats
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					runtime.ReadMemStats(&m)
-					if m.HeapAlloc > peak {
-						peak = m.HeapAlloc
-					}
-				}
-			}
-		}()
-	} else {
-		close(done)
-	}
-	start := time.Now()
-	fn()
-	secs := time.Since(start).Seconds()
-	close(stop)
-	<-done
-	runtime.ReadMemStats(&m1)
-	if m1.HeapAlloc > peak {
-		peak = m1.HeapAlloc
-	}
-	ev1, fl1, st1, sp1 := sim.Activity()
-	rec := benchRecord{
-		ID:      id,
-		Seconds: secs,
-		Events:  ev1 - ev0,
-		Flows:   fl1 - fl0,
-		Settles: st1 - st0,
-		Mallocs: m1.Mallocs - m0.Mallocs,
-		Ranks:   sp1 - sp0,
-	}
-	if sampleHeap {
-		rec.PeakHeapBytes = peak
-	}
-	return rec
-}
-
-// checkBenchDelta compares fresh records against a committed snapshot and
-// reports an error when any experiment regressed by more than the -delta-tol
-// fraction in wall time or allocations. Experiments absent from the snapshot are skipped
-// (new artifacts are not regressions) but logged, so lost coverage is
-// visible — and if *nothing* overlaps (say, a baseline captured at a
-// different -scale), the gate errors out instead of passing vacuously.
-// Wall time is only compared when the baseline ran long enough (≥50ms)
-// for the ratio to mean anything.
-func checkBenchDelta(path string, records []benchRecord, tol float64) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("reading -delta baseline: %v", err)
-	}
-	var base struct {
-		Experiments []benchRecord `json:"experiments"`
-	}
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("decoding -delta baseline %s: %v", path, err)
-	}
-	byID := make(map[string]benchRecord, len(base.Experiments))
-	for _, r := range base.Experiments {
-		byID[r.ID] = r
-	}
-	tolerance := 1 + tol
-	var regressions, skipped []string
-	compared := 0
-	for _, r := range records {
-		b, ok := byID[r.ID]
-		if !ok {
-			skipped = append(skipped, r.ID)
-			continue
-		}
-		compared++
-		if b.Seconds >= 0.05 && r.Seconds > b.Seconds*tolerance {
-			regressions = append(regressions,
-				fmt.Sprintf("%s: wall time %.3fs vs baseline %.3fs (+%.0f%%)",
-					r.ID, r.Seconds, b.Seconds, 100*(r.Seconds/b.Seconds-1)))
-		}
-		if b.Mallocs > 0 && float64(r.Mallocs) > float64(b.Mallocs)*tolerance {
-			regressions = append(regressions,
-				fmt.Sprintf("%s: %d mallocs vs baseline %d (+%.0f%%)",
-					r.ID, r.Mallocs, b.Mallocs, 100*(float64(r.Mallocs)/float64(b.Mallocs)-1)))
-		}
-	}
-	if len(skipped) > 0 {
-		fmt.Fprintf(os.Stderr, "mcbench: -delta: no baseline in %s for %s (skipped — regression coverage lost)\n",
-			path, strings.Join(skipped, ", "))
-	}
-	if compared == 0 {
-		return fmt.Errorf("-delta: none of the %d fresh records match an experiment in %s — nothing was compared (baseline from a different id set or -scale?)",
-			len(records), path)
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("benchmark regression vs %s:\n  %s", path, strings.Join(regressions, "\n  "))
-	}
-	return nil
-}
-
-// writeBenchJSON writes the schema-versioned benchmark envelope to path.
-// A non-nil screen record adds the analytic-screening throughput section.
-func writeBenchJSON(path, note, scale string, records []benchRecord, sInfo *screenInfo) {
-	env := struct {
-		SchemaVersion int           `json:"schema_version"`
-		Note          string        `json:"note,omitempty"`
-		Scale         string        `json:"scale"`
-		Go            string        `json:"go"`
-		MaxProcs      int           `json:"maxprocs"`
-		Screen        *screenInfo   `json:"screen,omitempty"`
-		Experiments   []benchRecord `json:"experiments"`
-	}{SchemaVersion: schema.Version, Note: note, Scale: scale, Go: runtime.Version(), MaxProcs: runtime.GOMAXPROCS(0), Screen: sInfo, Experiments: records}
-	data, err := json.MarshalIndent(env, "", "  ")
-	if err != nil {
-		fatalf("encoding %s: %v", path, err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fatalf("writing %s: %v", path, err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 }
 
 func renderer(format string) func(*report.Table) string {

@@ -6,6 +6,10 @@
 // Usage:
 //
 //	mccompare [-scale quick|full] [table2 table9 ...]
+//
+// Each argument names a transcribed table (table2-cg) or the experiment
+// that regenerates it (table2 selects table2-cg and table2-ft); an
+// argument that selects no transcribed table is an error.
 package main
 
 import (
@@ -13,8 +17,10 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"multicore/internal/experiments"
 	"multicore/internal/paperdata"
@@ -51,23 +57,13 @@ var bindings = map[string]binding{
 func main() {
 	scale := flag.String("scale", "quick", "problem scale: quick or full")
 	flag.Parse()
-	sc := experiments.Quick
-	if *scale == "full" {
-		sc = experiments.Full
+	sc, ids, err := resolve(*scale, flag.Args())
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	runner := experiments.NewRunner(nil, experiments.Options{})
-
-	want := flag.Args()
 	paper := paperdata.Tables()
-	ids := make([]string, 0, len(paper))
-	for id := range paper {
-		if len(want) > 0 && !matchesAny(id, want) {
-			continue
-		}
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 
 	// Run each needed experiment once.
 	measured := map[string][]*report.Table{}
@@ -75,7 +71,7 @@ func main() {
 	for _, id := range ids {
 		b, ok := bindings[id]
 		if !ok {
-			continue
+			fatalf("%s: no experiment regenerates this table", id)
 		}
 		if _, done := measured[b.expID]; !done {
 			e, ok := experiments.ByID(b.expID)
@@ -124,13 +120,39 @@ func main() {
 	}
 }
 
-func matchesAny(id string, wants []string) bool {
-	for _, w := range wants {
-		if id == w || (len(id) > len(w) && id[:len(w)] == w && id[len(w)] == '-') {
-			return true
+// resolve parses the scale and picks the transcribed tables to score, in
+// id order: all of them with no arguments, else those the arguments
+// select. An argument that selects no table is an error.
+func resolve(scale string, args []string) (experiments.Scale, []string, error) {
+	sc, err := experiments.ParseScale(scale)
+	if err != nil {
+		return 0, nil, err
+	}
+	var known, ids []string
+	for id := range paperdata.Tables() {
+		known = append(known, id)
+	}
+	sort.Strings(known)
+	if len(args) == 0 {
+		return sc, known, nil
+	}
+	for _, arg := range args {
+		if !slices.ContainsFunc(known, func(id string) bool { return selects(arg, id) }) {
+			return 0, nil, fmt.Errorf("no transcribed paper table %q (known: %s)", arg, strings.Join(known, ", "))
 		}
 	}
-	return false
+	for _, id := range known {
+		if slices.ContainsFunc(args, func(arg string) bool { return selects(arg, id) }) {
+			ids = append(ids, id)
+		}
+	}
+	return sc, ids, nil
+}
+
+// selects reports whether an argument names the table id exactly or as
+// its experiment ("table2" selects table2-cg and table2-ft).
+func selects(arg, id string) bool {
+	return id == arg || strings.HasPrefix(id, arg+"-")
 }
 
 // measuredRow finds the experiment-table row whose first two cells are

@@ -130,6 +130,9 @@ func main() {
 	if *retries < 0 {
 		fatalf("-retries must be non-negative")
 	}
+	if *nodes < 1 {
+		fatalf("-nodes must be at least 1")
+	}
 	if *machineFile != "" {
 		spec, err := machine.LoadSpec(*machineFile)
 		if err != nil {

@@ -7,9 +7,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+
+	"multicore/internal/sim"
 )
 
 // renderAll renders an experiment's tables through the given runner to
@@ -28,11 +31,106 @@ func renderAll(t *testing.T, r *Runner, e Experiment) string {
 	return b.String()
 }
 
+// work is the cost of simulating one experiment on a fresh runner: the
+// engine activity (sim.Activity) and the heap objects allocated.
+type work struct {
+	Events  uint64 `json:"events"`
+	Flows   uint64 `json:"flows"`
+	Settles uint64 `json:"settles"`
+	Spawns  uint64 `json:"spawns"`
+	Mallocs uint64 `json:"mallocs"`
+}
+
+// workPath pins every experiment's work. The activity counts follow from
+// the model alone, so they must match exactly on any host, GOMAXPROCS or
+// worker count; mallocs may fall but not rise past mallocSlack.
+const workPath = "testdata/work.json"
+
+const repinWork = "go test ./internal/experiments -run TestSerialParallelIdentical -update-engine-golden"
+
+// mallocSlack is the allocation growth the gate forgives. Repeated runs
+// of one tree differ by under 0.1%.
+const mallocSlack = 0.02
+
+// raceEnabled is set under -race, whose instrumentation allocates, so
+// mallocs are not compared there.
+var raceEnabled bool
+
+// measureWork runs fn and returns the work it caused. Nothing else may
+// simulate or allocate meanwhile, so experiments are measured one at a
+// time.
+func measureWork(fn func()) work {
+	var m runtime.MemStats
+	ev, fl, st, sp := sim.Activity()
+	runtime.ReadMemStats(&m)
+	mallocs := m.Mallocs
+	fn()
+	runtime.ReadMemStats(&m)
+	ev1, fl1, st1, sp1 := sim.Activity()
+	return work{Events: ev1 - ev, Flows: fl1 - fl, Settles: st1 - st, Spawns: sp1 - sp, Mallocs: m.Mallocs - mallocs}
+}
+
+// checkWork reports every counter of got that breaks its pin in want.
+func checkWork(t *testing.T, id, pass string, want, got work, mallocs bool) {
+	t.Helper()
+	for _, c := range []struct {
+		name      string
+		want, got uint64
+	}{
+		{"events", want.Events, got.Events},
+		{"flows", want.Flows, got.Flows},
+		{"settles", want.Settles, got.Settles},
+		{"spawns", want.Spawns, got.Spawns},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s, %s pass: %s %d, pinned %d (re-pin if intended: %s)", id, pass, c.name, c.got, c.want, repinWork)
+		}
+	}
+	if ceiling := uint64(float64(want.Mallocs) * (1 + mallocSlack)); mallocs && got.Mallocs > ceiling {
+		t.Errorf("%s, %s pass: mallocs %d, over the ceiling %d (pinned %d + %.0f%%; re-pin if intended: %s)",
+			id, pass, got.Mallocs, ceiling, want.Mallocs, 100*mallocSlack, repinWork)
+	}
+}
+
+// readWork loads the pinned work and checks that it covers exactly the
+// registered experiments.
+func readWork(t *testing.T) map[string]work {
+	t.Helper()
+	data, err := os.ReadFile(workPath)
+	if err != nil {
+		t.Fatalf("reading %s (re-pin: %s): %v", workPath, repinWork, err)
+	}
+	var pinned map[string]work
+	if err := json.Unmarshal(data, &pinned); err != nil {
+		t.Fatalf("decoding %s: %v", workPath, err)
+	}
+	ids := IDs()
+	for _, id := range ids {
+		if _, ok := pinned[id]; !ok {
+			t.Errorf("%s: no pinned work in %s (re-pin: %s)", id, workPath, repinWork)
+		}
+	}
+	for id := range pinned {
+		if _, ok := ByID(id); !ok {
+			t.Errorf("%s: pinned in %s but not a registered experiment (re-pin: %s)", id, workPath, repinWork)
+		}
+	}
+	return pinned
+}
+
 // TestSerialParallelIdentical is the determinism regression for the
 // parallel executor: every experiment must render byte-identical tables
 // whether its cells run serially or on a many-worker pool. Each pass
-// gets a fresh runner so both actually simulate.
+// gets a fresh runner so both actually simulate. It is also the work
+// gate: both passes must do exactly the pinned engine work (cells are
+// single-flight, so the pool repeats no cell), and the serial pass must
+// stay under the pinned malloc ceiling.
 func TestSerialParallelIdentical(t *testing.T) {
+	var pinned map[string]work
+	if !*updateEngineGolden {
+		pinned = readWork(t)
+	}
+	measured := map[string]work{}
 	exps := All()
 	if testing.Short() {
 		// One representative of each table family keeps -short fast.
@@ -49,22 +147,49 @@ func TestSerialParallelIdentical(t *testing.T) {
 	for _, e := range exps {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			serial := renderAll(t, NewRunner(nil, Options{Parallelism: 1}), e)
-			parallel := renderAll(t, NewRunner(nil, Options{Parallelism: 8}), e)
+			var serial, parallel string
+			sw := measureWork(func() { serial = renderAll(t, NewRunner(nil, Options{Parallelism: 1}), e) })
+			pw := measureWork(func() { parallel = renderAll(t, NewRunner(nil, Options{Parallelism: 8}), e) })
 			if serial != parallel {
 				t.Errorf("%s: serial and parallel runs render different tables\nserial:\n%s\nparallel:\n%s",
 					e.ID, serial, parallel)
 			}
+			measured[e.ID] = sw
+			if want, ok := pinned[e.ID]; ok {
+				checkWork(t, e.ID, "serial", want, sw, !raceEnabled)
+				checkWork(t, e.ID, "8-worker", want, pw, false)
+			}
 		})
+	}
+	if *updateEngineGolden && !t.Failed() {
+		writeWork(t, measured)
 	}
 }
 
-// updateEngineGolden rewrites testdata/engine_golden.json from the current
-// engine. Run it once per intentional semantic change:
+// writeWork re-pins testdata/work.json. Only a full, uninstrumented run
+// measures what the gate compares against.
+func writeWork(t *testing.T, measured map[string]work) {
+	t.Helper()
+	if raceEnabled || len(measured) != len(IDs()) {
+		t.Fatalf("re-pinning %s needs every experiment and no -race (measured %d of %d)", workPath, len(measured), len(IDs()))
+	}
+	data, err := json.MarshalIndent(measured, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(workPath, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %s", workPath)
+}
+
+// updateEngineGolden rewrites testdata/engine_golden.json and
+// testdata/work.json from the current engine. Run it once per
+// intentional semantic change:
 //
-//	go test ./internal/experiments -run TestEngineGolden -update-engine-golden
+//	go test ./internal/experiments -run 'TestEngineGolden|TestSerialParallelIdentical' -update-engine-golden
 var updateEngineGolden = flag.Bool("update-engine-golden", false,
-	"rewrite testdata/engine_golden.json from the current engine")
+	"rewrite testdata/engine_golden.json and testdata/work.json from the current engine")
 
 // engineGolden pins the engine's observable semantics: SHA-256 of the
 // rendered tables and of the combined per-cell Chrome traces for one

@@ -64,8 +64,8 @@ type Options struct {
 
 // Runner executes experiments: it owns the worker pool, the in-process
 // cell cache, the optional persistent store, and the cancellation
-// context. Independent Runners share nothing, so tests and mcbench's
-// per-experiment -json timing mode get isolation by constructing fresh
+// context. Independent Runners share nothing, so tests and benchmarks
+// that must simulate every cell get isolation by constructing fresh
 // ones.
 type Runner struct {
 	ctx  context.Context
@@ -145,7 +145,7 @@ func (r *Runner) CellErrors() []error {
 const maxRecordedErrs = 32
 
 func (r *Runner) noteErr(err error) {
-	if isCanceled(err) {
+	if IsCanceled(err) {
 		return
 	}
 	r.mu.Lock()
@@ -394,7 +394,7 @@ func (r *Runner) persistCell(sk store.Key, v any, err error) {
 		perr = st.Put(sk, v)
 	case isInfeasible(err):
 		perr = st.PutInfeasible(sk)
-	case isCanceled(err):
+	case IsCanceled(err):
 		return
 	default:
 		perr = st.PutError(sk, err.Error())
@@ -426,7 +426,7 @@ func runWithRetries[T any](r *Runner, key CellKey, fn func() (T, error)) (T, err
 	var err error
 	for attempt := 0; ; attempt++ {
 		v, err = runAttempt(r, key, plan, cell, attempt, fn)
-		if err == nil || !fault.IsTransient(err) || isCanceled(err) || attempt >= retries {
+		if err == nil || !fault.IsTransient(err) || IsCanceled(err) || attempt >= retries {
 			return v, err
 		}
 		if backoff > 0 {
@@ -472,10 +472,10 @@ func isInfeasible(err error) bool {
 	return errors.As(err, &inf)
 }
 
-// isCanceled reports whether err describes the sweep being stopped (ctx
+// IsCanceled reports whether err describes the sweep being stopped (ctx
 // cancellation, a cell deadline, or an engine abort) rather than the
 // cell itself failing.
-func isCanceled(err error) bool {
+func IsCanceled(err error) bool {
 	var ce *sim.CanceledError
 	return errors.As(err, &ce) ||
 		errors.Is(err, context.Canceled) ||

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestParMapPanicShortCircuits checks that once a worker panics, the
@@ -20,7 +21,10 @@ func TestParMapPanicShortCircuits(t *testing.T) {
 		defer func() { recovered = recover() }()
 		parMap(r, n, func(i int) int {
 			if i == 0 {
-				close(gate) // release the other workers, then fail
+				// Release the other workers only after the panic's
+				// recovery has raised the stop flag: the released
+				// workers must not be able to outrun it.
+				time.AfterFunc(10*time.Millisecond, func() { close(gate) })
 				panic("cell 0 exploded")
 			}
 			<-gate

@@ -291,7 +291,7 @@ func TestCanceledCellNotPersisted(t *testing.T) {
 	_, err := runCell(r1, key, func() (float64, error) {
 		return 0, &sim.CanceledError{Time: 3, Cause: context.Canceled}
 	})
-	if !isCanceled(err) {
+	if !IsCanceled(err) {
 		t.Fatalf("got %v, want cancellation", err)
 	}
 	if n, _ := st.Len(); n != 0 {

@@ -1,10 +1,9 @@
 // Package schema pins the version of every JSON artifact this repository
-// emits — mcbench -json benchmark envelopes, Chrome trace exports,
-// persistent result-store entries, and the distributed sweep protocol's
-// opening requests (sweep submissions and worker registrations, see
-// internal/sweepd). Artifacts embed the version as a `schema_version`
-// field; loaders call Check and refuse mismatches with a clear error
-// instead of misreading a stale layout.
+// emits — Chrome trace exports, persistent result-store entries, and the
+// distributed sweep protocol's opening requests (sweep submissions and
+// worker registrations, see internal/sweepd). Artifacts embed the version
+// as a `schema_version` field; loaders call Check and refuse mismatches
+// with a clear error instead of misreading a stale layout.
 //
 // Bump Version whenever a field is renamed, removed, or changes meaning.
 // Purely additive fields do not require a bump.

@@ -79,8 +79,8 @@ var globalEvents, globalFlows, globalSettles, globalSpawns atomic.Uint64
 // Activity snapshots the process-wide counters: scheduler events fired,
 // flows started, settling passes, and processes spawned (ranks plus
 // helpers), summed over all completed engine runs since the last
-// ResetActivity. Spawns over heap growth is the bytes-per-rank signal the
-// benchmark snapshots track.
+// ResetActivity. The experiments package's work gate pins their deltas
+// per experiment.
 func Activity() (events, flows, settles, spawns uint64) {
 	return globalEvents.Load(), globalFlows.Load(), globalSettles.Load(), globalSpawns.Load()
 }

@@ -542,7 +542,7 @@ func (c *Coordinator) unleaseLocked(st *cellState) {
 	st.lease = nil
 }
 
-// maxQuarantineBackoff caps the exponential quarantine growth at 16x
+// maxQuarantineDoublings caps the exponential quarantine growth at 16x
 // the base.
 const maxQuarantineDoublings = 4
 

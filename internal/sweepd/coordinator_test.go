@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -392,6 +393,19 @@ func TestSubmitValidatesGrid(t *testing.T) {
 	bad.Grid.Schemes = []string{"bogus"}
 	if _, err := Submit(context.Background(), srv.URL, bad, nil); err == nil {
 		t.Error("bogus scheme accepted")
+	}
+	// Negative overrides would panic in a kernel or simulate nothing.
+	for _, override := range []string{`"n":-5`, `"steps":-3`} {
+		body := fmt.Sprintf(`{"schema_version":%d,"grid":{"workloads":["dgemm","pop"],"systems":["tiger"],"ranks":[2],"schemes":["default"],"scale":"quick",%s}}`,
+			schema.Version, override)
+		resp, err := http.Post(srv.URL+PathSweep, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("sweep with %s: status %d, want 400", override, resp.StatusCode)
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package sweepd
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -10,18 +8,8 @@ import (
 	"multicore/internal/experiments"
 	"multicore/internal/fault"
 	"multicore/internal/report"
-	"multicore/internal/sim"
 	"multicore/internal/workload"
 )
-
-// isCanceled reports whether err describes the sweep (or worker)
-// stopping rather than the cell failing.
-func isCanceled(err error) bool {
-	var ce *sim.CanceledError
-	return errors.As(err, &ce) ||
-		errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded)
-}
 
 // Table assembles streamed cell results into the sweep's results table:
 // one row per (workload, system, ranks) in grid order, one column per
@@ -126,7 +114,7 @@ func runCells(r *experiments.Runner, cells []CellSpec, workers int) map[string]C
 		if err == nil {
 			secs, err = r.RunWorkloadCell(spec, c.System, c.Ranks, scheme, scale)
 		}
-		if err != nil && isCanceled(err) {
+		if err != nil && experiments.IsCanceled(err) {
 			return // sweep stopped; not a cell outcome
 		}
 		out[i] = resultFor(c, secs, err)

@@ -355,7 +355,7 @@ func (w *Worker) executeCell(ctx context.Context, asg Assignment) (CellResult, b
 	}
 	r := experiments.NewRunner(ctx, opts)
 	secs, err := r.RunWorkloadCell(spec, asg.Cell.System, asg.Cell.Ranks, scheme, scale)
-	if err != nil && isCanceled(err) {
+	if err != nil && experiments.IsCanceled(err) {
 		return CellResult{}, true
 	}
 	w.cellsRun.Add(int64(r.CellsRun()))

@@ -96,8 +96,15 @@ func Register(name string, f Factory) {
 	registry.m[name] = f
 }
 
-// New resolves a spec to a runnable workload via the registry.
+// New resolves a spec to a runnable workload via the registry. Negative
+// Steps or N overrides are errors for every family.
 func New(spec Spec) (Workload, error) {
+	if spec.Steps < 0 {
+		return Workload{}, fmt.Errorf("workload: negative step count %d for %s", spec.Steps, spec.Name)
+	}
+	if spec.N < 0 {
+		return Workload{}, fmt.Errorf("workload: negative problem size %d for %s", spec.N, spec.Name)
+	}
 	registry.Lock()
 	f, ok := registry.m[spec.Name]
 	registry.Unlock()

@@ -91,20 +91,22 @@ func TestUnknownWorkload(t *testing.T) {
 }
 
 func TestVariantValidation(t *testing.T) {
-	if _, err := New(Spec{Name: "stream", Arg: "bogus"}); err == nil {
-		t.Fatal("stream accepted a variant argument")
-	}
-	if _, err := New(Spec{Name: "amber"}); err == nil {
-		t.Fatal("amber resolved without a benchmark name")
-	}
-	if _, err := New(Spec{Name: "amber", Arg: "nope"}); err == nil {
-		t.Fatal("amber accepted an unknown benchmark")
-	}
-	if _, err := New(Spec{Name: "lammps", Arg: "nope"}); err == nil {
-		t.Fatal("lammps accepted an unknown potential")
-	}
-	if _, err := New(Spec{Name: "cg", Class: "Z"}); err == nil {
-		t.Fatal("cg accepted an unknown class")
+	for _, tc := range []struct {
+		spec Spec
+		what string
+	}{
+		{Spec{Name: "stream", Arg: "bogus"}, "a variant argument for stream"},
+		{Spec{Name: "amber"}, "amber without a benchmark name"},
+		{Spec{Name: "amber", Arg: "nope"}, "an unknown amber benchmark"},
+		{Spec{Name: "lammps", Arg: "nope"}, "an unknown lammps potential"},
+		{Spec{Name: "cg", Class: "Z"}, "an unknown cg class"},
+		{Spec{Name: "dgemm", N: -5}, "a negative dgemm size"},
+		{Spec{Name: "pop", Steps: -3}, "a negative pop step count"},
+		{Spec{Name: "lammps", Arg: "lj", Steps: -1}, "a negative lammps step count"},
+	} {
+		if _, err := New(tc.spec); err == nil {
+			t.Errorf("New(%+v) accepted %s", tc.spec, tc.what)
+		}
 	}
 }
 
