@@ -35,15 +35,18 @@
 // residual-error report; standalone `mcbench -calibrate -store DIR`
 // prints just the report.
 //
-// Sweeps are resilient: SIGINT/SIGTERM cancels the running simulations
-// cleanly, a per-cell -timeout bounds any one cell's wall-clock cost, a
-// panicking cell renders as ERR instead of killing the run, and with
-// -store every completed cell is persisted so the next invocation (add
-// -resume to also retry failed cells) re-runs only what is missing and
-// reproduces byte-identical tables. Concurrent -store runs over the same
-// directory are serialized by an advisory lock. With -faults, the
-// deterministic perturbations of a fault plan (see internal/fault) are
-// injected into every cell; -retries re-attempts cells that fail
+// Every simulation of every experiment runs through one runner path, so
+// -j (engines in flight), -timeout (wall-clock budget per engine),
+// -faults and -trace reach all of them. Sweeps are resilient:
+// SIGINT/SIGTERM cancels the running simulations cleanly, a panicking
+// cell renders as ERR instead of killing the run, and with -store every
+// completed memoized cell (paper tables, fig2/fig3, numa-stream, sweep
+// grids) is persisted so the next invocation (add -resume to also retry
+// failed cells) re-runs only what is missing and reproduces
+// byte-identical tables. Concurrent -store runs over the same directory
+// are serialized by an advisory lock. With -faults, the deterministic
+// perturbations of a fault plan (see internal/fault) are injected into
+// every simulation; -retries re-attempts memoized cells that fail
 // transiently.
 package main
 
@@ -76,11 +79,11 @@ func main() {
 	format := flag.String("format", "text", "output format: text, md, csv, or plot")
 	outDir := flag.String("out", "", "directory to write per-experiment files (default: stdout)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "max simulations in flight (1 = fully serial)")
-	traceDir := flag.String("trace", "", "directory for per-cell Chrome trace-event JSON files")
+	traceDir := flag.String("trace", "", "directory for one Chrome trace-event JSON file per simulation")
 	storeDir := flag.String("store", "", "directory of the persistent cell-result store (created if missing)")
 	resume := flag.Bool("resume", false, "with -store: re-run cells whose stored status is error instead of reporting the recorded failure")
-	timeout := flag.Duration("timeout", 0, "wall-clock budget per simulated cell (0 = unbounded), e.g. 30s")
-	faults := flag.String("faults", "", `deterministic fault plan injected into every cell, e.g. "noise:core=3,period=1ms,frac=0.1;linkdown:s0-s1,t=2ms..5ms"`)
+	timeout := flag.Duration("timeout", 0, "wall-clock budget per simulation (0 = unbounded), e.g. 30s")
+	faults := flag.String("faults", "", `deterministic fault plan injected into every simulation, e.g. "noise:core=3,period=1ms,frac=0.1;linkdown:s0-s1,t=2ms..5ms"`)
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the fault plan's random draws (phases, cell failures)")
 	retries := flag.Int("retries", 0, "re-attempts per cell that fails with a transient fault (0 = no retry)")
 	sweep := flag.String("sweep", "", `grid sweep instead of paper artifacts, e.g. "workloads=stream,cg;systems=tiger;ranks=1,2;schemes=default,localalloc" (systems take registered names or @FILE spec files)`)
@@ -105,6 +108,9 @@ func main() {
 	}
 	if *jobs < 1 {
 		fatalf("-j must be at least 1")
+	}
+	if *timeout < 0 {
+		fatalf("-timeout must be non-negative (0 = unbounded)")
 	}
 	if *resume && *storeDir == "" {
 		fatalf("-resume needs -store DIR (there is nothing to resume from)")
@@ -223,10 +229,11 @@ func main() {
 	runner := experiments.NewRunner(ctx, opts)
 
 	// Render every requested experiment. With -j 1 the experiments run
-	// strictly in request order; otherwise they run concurrently (each
-	// one's cells already share the worker pool) and outputs are still
-	// emitted in request order. A failing experiment (panic, stored
-	// failure) reports its error and the rest of the sweep continues.
+	// strictly in request order; otherwise they all start at once and
+	// the runner's -j slots bound the engines simulating across them.
+	// Outputs are still emitted in request order. A failing experiment
+	// (panic, stored failure) reports its error and the rest of the
+	// sweep continues.
 	outputs := make([]string, len(exps))
 	errs := make([]error, len(exps))
 	runOne := func(i int) {
@@ -250,16 +257,11 @@ func main() {
 			runOne(i)
 		}
 	} else {
-		// Experiment-level fan-out uses plain goroutines gated by their
-		// own semaphore so they never hold cell-pool slots while waiting.
-		sem := make(chan struct{}, *jobs)
 		var wg sync.WaitGroup
 		for i := range exps {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
 				runOne(i)
 			}(i)
 		}

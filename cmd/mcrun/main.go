@@ -133,6 +133,9 @@ func main() {
 	if *nodes < 1 {
 		fatalf("-nodes must be at least 1")
 	}
+	if *timeout < 0 {
+		fatalf("-timeout must be non-negative (0 = unbounded)")
+	}
 	if *machineFile != "" {
 		spec, err := machine.LoadSpec(*machineFile)
 		if err != nil {

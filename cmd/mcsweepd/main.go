@@ -94,6 +94,19 @@ func main() {
 		os.Exit(2)
 	}
 
+	switch {
+	case *jobs < 1:
+		fatalf("-j must be at least 1")
+	case *lease <= 0:
+		fatalf("-lease must be positive")
+	case *maxAttempts < 1:
+		fatalf("-max-attempts must be at least 1")
+	case *quota < 0:
+		fatalf("-quota must be non-negative (0 = unlimited)")
+	case *retention <= 0:
+		fatalf("-retention must be positive")
+	}
+
 	log.SetFlags(log.Ltime | log.Lmicroseconds)
 	logf := log.Printf
 	if *quiet {

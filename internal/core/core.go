@@ -56,18 +56,6 @@ type Job struct {
 	Faults mpi.Perturb
 }
 
-// resolve returns the machine spec for the job.
-func (j Job) resolve() (*machine.Spec, error) {
-	if j.Spec != nil {
-		return j.Spec, nil
-	}
-	spec, err := machine.Resolve(j.System)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return spec, nil
-}
-
 // Run executes body as an SPMD program under the job's configuration.
 // It returns affinity.ErrInfeasible (wrapped) when the scheme cannot host
 // the rank count — the dashes in the paper's tables.
@@ -81,16 +69,31 @@ func Run(j Job, body func(*mpi.Rank)) (*mpi.Result, error) {
 // *sim.CanceledError; a deadlocked workload returns *sim.DeadlockError
 // naming the blocked ranks instead of hanging.
 func RunContext(ctx context.Context, j Job, body func(*mpi.Rank)) (*mpi.Result, error) {
-	spec, err := j.resolve()
+	cfg, err := j.Config()
 	if err != nil {
 		return nil, err
 	}
+	return mpi.RunContext(ctx, cfg, body)
+}
+
+// Config resolves the job into the mpi.Config it runs: the machine spec,
+// the scheme's rank bindings and the job's transport and observation
+// settings. It returns affinity.ErrInfeasible (wrapped) when the scheme
+// cannot host the rank count.
+func (j Job) Config() (mpi.Config, error) {
+	spec := j.Spec
+	if spec == nil {
+		var err error
+		if spec, err = machine.Resolve(j.System); err != nil {
+			return mpi.Config{}, fmt.Errorf("core: %w", err)
+		}
+	}
 	if j.Ranks <= 0 {
-		return nil, fmt.Errorf("core: rank count must be positive")
+		return mpi.Config{}, fmt.Errorf("core: rank count must be positive")
 	}
 	bindings, err := affinity.Layout(j.Scheme, spec.Topo, j.Ranks)
 	if err != nil {
-		return nil, err
+		return mpi.Config{}, err
 	}
 	cfg := mpi.Config{
 		Spec:          spec,
@@ -107,7 +110,7 @@ func RunContext(ctx context.Context, j Job, body func(*mpi.Rank)) (*mpi.Result, 
 	if j.BufMode != nil {
 		cfg.BufMode = *j.BufMode
 	}
-	return mpi.RunContext(ctx, cfg, body)
+	return cfg, nil
 }
 
 // Speedup runs body at 1 rank and at each rank count in `ranks`, under

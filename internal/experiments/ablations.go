@@ -64,38 +64,23 @@ func runAblateCoherence(r *Runner, s Scale) []*report.Table {
 	t := report.New("Coherence ablation: STREAM triad and NAS CG on Longs",
 		"Metric", "Calibrated (paper-like)", "No coherence derating", "Gain")
 
-	triad := func(spec *machine.Spec) float64 {
-		ctx, cancel := r.jobContext()
-		defer cancel()
-		res, err := core.RunContext(ctx, core.Job{Spec: spec, Ranks: 1, Scheme: affinity.OneMPILocalAlloc},
-			func(r *mpi.Rank) {
-				stream.RunTriad(r, stream.Params{VectorBytes: vec, Iters: 2})
-			})
-		if err != nil {
-			panic(err)
-		}
-		return res.Max(stream.MetricBandwidth) / units.Giga
-	}
 	specs := []func() *machine.Spec{machine.Longs, longsNoCoherence}
-	triads := parMap(r, len(specs), func(i int) float64 { return triad(specs[i]()) })
+	names := []string{"calibrated", "no-coherence"}
+	triads := parMap(r, len(specs), func(i int) float64 {
+		res := must(r.runJob("ablate-coherence-stream-"+names[i],
+			core.Job{Spec: specs[i](), Ranks: 1, Scheme: affinity.OneMPILocalAlloc}, func(r *mpi.Rank) {
+				stream.RunTriad(r, stream.Params{VectorBytes: vec, Iters: 2})
+			}))
+		return res.Max(stream.MetricBandwidth) / units.Giga
+	})
 	base, fixed := triads[0], triads[1]
 	t.AddRow("1-core STREAM GB/s", report.F(base), report.F(fixed), report.F(fixed/base))
 
-	cgTime := func(spec *machine.Spec) float64 {
-		body, err := npb.RunCG(npbClass(s))
-		if err != nil {
-			panic(err)
-		}
-		ctx, cancel := r.jobContext()
-		defer cancel()
-		res, err := core.RunContext(ctx, core.Job{Spec: spec, Ranks: 8, Scheme: affinity.OneMPILocalAlloc,
-			Impl: mpi.MPICH2()}, body)
-		if err != nil {
-			panic(err)
-		}
+	cgs := parMap(r, len(specs), func(i int) float64 {
+		res := must(r.runJob("ablate-coherence-cg-"+names[i], core.Job{Spec: specs[i](), Ranks: 8,
+			Scheme: affinity.OneMPILocalAlloc, Impl: mpi.MPICH2()}, must(npb.RunCG(npbClass(s)))))
 		return res.Max(npb.MetricCGTime)
-	}
-	cgs := parMap(r, len(specs), func(i int) float64 { return cgTime(specs[i]()) })
+	})
 	baseCG, fixedCG := cgs[0], cgs[1]
 	t.AddRow("NAS CG 8 ranks (s)", report.Seconds(baseCG), report.Seconds(fixedCG), report.F(baseCG/fixedCG))
 	return []*report.Table{t}
@@ -119,33 +104,23 @@ func runAblateTopology(r *Runner, s Scale) []*report.Table {
 	t := report.New("Topology ablation: 2x4 ladder vs full crossbar (Longs, 16 ranks)",
 		"Metric", "Ladder", "Crossbar", "Ladder cost")
 
-	ftTime := func(spec *machine.Spec) float64 {
-		body, err := npb.RunFT(npb.ClassA)
-		if err != nil {
-			panic(err)
-		}
-		ctx, cancel := r.jobContext()
-		defer cancel()
-		res, err := core.RunContext(ctx, core.Job{Spec: spec, Ranks: 16, Impl: mpi.MPICH2()}, body)
-		if err != nil {
-			panic(err)
-		}
-		return res.Max(npb.MetricFTTime)
-	}
 	specs := []func() *machine.Spec{machine.Longs, longsCrossbar}
-	fts := parMap(r, len(specs), func(i int) float64 { return ftTime(specs[i]()) })
+	names := []string{"ladder", "crossbar"}
+	fts := parMap(r, len(specs), func(i int) float64 {
+		res := must(r.runJob("ablate-topology-ft-"+names[i], core.Job{Spec: specs[i](), Ranks: 16, Impl: mpi.MPICH2()},
+			must(npb.RunFT(npb.ClassA))))
+		return res.Max(npb.MetricFTTime)
+	})
 	ladder, xbar := fts[0], fts[1]
 	t.AddRow("NAS FT 16 ranks (s)", report.Seconds(ladder), report.Seconds(xbar), report.F(ladder/xbar))
 
-	ringLat := func(spec *machine.Spec) float64 {
-		b, err := affinity.Layout(affinity.Default, spec.Topo, 16)
-		if err != nil {
-			panic(err)
-		}
-		pt := imb.Ring(mpi.Config{Spec: spec, Impl: mpi.LAM().WithSublayer(mpi.USysV()), Bindings: b}, 8, 30)
+	rings := parMap(r, len(specs), func(i int) float64 {
+		spec := specs[i]()
+		b := must(affinity.Layout(affinity.Default, spec.Topo, 16))
+		pt := imb.Ring(r.runFunc("ablate-topology-ring-"+names[i]),
+			mpi.Config{Spec: spec, Impl: mpi.LAM().WithSublayer(mpi.USysV()), Bindings: b}, 8, 30)
 		return pt.Latency / units.Microsecond
-	}
-	rings := parMap(r, len(specs), func(i int) float64 { return ringLat(specs[i]()) })
+	})
 	lr, xr := rings[0], rings[1]
 	t.AddRow("Ring latency 8 B (us)", report.F(lr), report.F(xr), report.F(lr/xr))
 	return []*report.Table{t}
@@ -164,23 +139,15 @@ func runAblateSublayer(r *Runner, s Scale) []*report.Table {
 		}
 		impl := mpi.LAM().WithSublayer(sub)
 		spec := machine.Longs()
-		b, err := affinity.Layout(affinity.Default, spec.Topo, 16)
-		if err != nil {
-			panic(err)
-		}
-		ctx, cancel := r.jobContext()
-		defer cancel()
-		res, err := mpi.RunContext(ctx, mpi.Config{Spec: spec, Impl: impl, Bindings: b}, func(r *mpi.Rank) {
+		b := must(affinity.Layout(affinity.Default, spec.Topo, 16))
+		res := must(r.simulate("ablate-sublayer-ra-"+sub.Name, mpi.Config{Spec: spec, Impl: impl, Bindings: b}, func(r *mpi.Rank) {
 			rnda.Run(r, rnda.Params{TableBytes: 32 << 20, Updates: 8e5, MPI: true})
-		})
-		if err != nil {
-			panic(err)
-		}
+		}))
 		b2 := []affinity.Binding{
 			{Core: 0, MemPolicy: mem.LocalAlloc},
 			{Core: 2, MemPolicy: mem.LocalAlloc},
 		}
-		pt := imb.PingPong(mpi.Config{Spec: spec, Impl: impl, Bindings: b2}, 8, 30)
+		pt := imb.PingPong(r.runFunc("ablate-sublayer-pingpong-"+sub.Name), mpi.Config{Spec: spec, Impl: impl, Bindings: b2}, 8, 30)
 		return []string{report.F(lockUS),
 			report.F(res.Mean(rnda.MetricGUPS)),
 			report.F(pt.Latency / units.Microsecond)}
@@ -210,8 +177,9 @@ func runExtHybrid(r *Runner, s Scale) []*report.Table {
 			{Core: c.cores[1], MemPolicy: mem.LocalAlloc},
 		}
 		cfg := mpi.Config{Spec: spec, Impl: mpi.OpenMPI(), Bindings: b}
-		lat := imb.PingPong(cfg, 8, 30)
-		bw := imb.PingPong(cfg, units.MB, 15)
+		label := fmt.Sprintf("ext-hybrid-c%d-%d", c.cores[0], c.cores[1])
+		lat := imb.PingPong(r.runFunc(label+"-lat"), cfg, 8, 30)
+		bw := imb.PingPong(r.runFunc(label+"-bw"), cfg, units.MB, 15)
 		return []string{c.name, report.F(lat.Latency / units.Microsecond), report.F(bw.Bandwidth / units.Mega)}
 	})
 	for _, row := range rows {
@@ -235,23 +203,12 @@ func runAblateCollectives(r *Runner, s Scale) []*report.Table {
 	t := report.New("Collective algorithms by payload (seconds, 8 ranks on Longs)",
 		"Payload", "Allreduce doubling", "Allreduce ring", "Bcast binomial", "Bcast scatter+allgather")
 	spec := machine.Longs()
-	b, err := affinity.Layout(affinity.OneMPILocalAlloc, spec.Topo, 8)
-	if err != nil {
-		panic(err)
-	}
-	timeOf := func(body func(*mpi.Rank)) float64 {
-		ctx, cancel := r.jobContext()
-		defer cancel()
-		res, err := mpi.RunContext(ctx, mpi.Config{Spec: spec, Impl: mpi.MPICH2(), Bindings: b}, body)
-		if err != nil {
-			panic(err)
-		}
-		return res.Time
-	}
+	b := must(affinity.Layout(affinity.OneMPILocalAlloc, spec.Topo, 8))
 	sizes := []float64{64, 4 * units.KB, 64 * units.KB, units.MB, 8 * units.MB}
 	if s == Quick {
 		sizes = sizes[:4]
 	}
+	names := []string{"allreduce-doubling", "allreduce-ring", "bcast-binomial", "bcast-scatter-allgather"}
 	algos := []func(*mpi.Rank, float64){
 		func(r *mpi.Rank, b float64) { r.AllreduceRecursiveDoubling(b) },
 		func(r *mpi.Rank, b float64) { r.AllreduceRing(b) },
@@ -260,7 +217,9 @@ func runAblateCollectives(r *Runner, s Scale) []*report.Table {
 	}
 	times := parMap(r, len(sizes)*len(algos), func(i int) float64 {
 		bytes, algo := sizes[i/len(algos)], algos[i%len(algos)]
-		return timeOf(func(r *mpi.Rank) { algo(r, bytes) })
+		label := fmt.Sprintf("ablate-collectives-%s-%g", names[i%len(algos)], bytes)
+		return must(r.simulate(label, mpi.Config{Spec: spec, Impl: mpi.MPICH2(), Bindings: b},
+			func(r *mpi.Rank) { algo(r, bytes) })).Time
 	})
 	for i, bytes := range sizes {
 		t.AddRow(units.Bytes(bytes),

@@ -87,7 +87,7 @@ func amberRun(r *Runner, name, system string, ranks int, scheme affinity.Scheme,
 		if err != nil {
 			return amberTimes{}, err
 		}
-		res, err := r.runJob(fmt.Sprintf("amber-%s-%d", name, steps), system, ranks, scheme, wl.Body)
+		res, err := r.runMPICH2(fmt.Sprintf("amber-%s-%d", name, steps), system, ranks, scheme, wl.Body)
 		if err != nil {
 			return amberTimes{}, err
 		}
@@ -152,7 +152,7 @@ func lammpsRun(r *Runner, b lammps.Benchmark, system string, ranks int, scheme a
 		if err != nil {
 			return 0, err
 		}
-		res, err := r.runJob(fmt.Sprintf("lammps-%s-%d", b, steps), system, ranks, scheme, wl.Body)
+		res, err := r.runMPICH2(fmt.Sprintf("lammps-%s-%d", b, steps), system, ranks, scheme, wl.Body)
 		if err != nil {
 			return 0, err
 		}
@@ -207,7 +207,7 @@ func popRun(r *Runner, system string, ranks int, scheme affinity.Scheme, steps i
 		if err != nil {
 			return popTimes{}, err
 		}
-		res, err := r.runJob(fmt.Sprintf("pop-%d", steps), system, ranks, scheme, wl.Body)
+		res, err := r.runMPICH2(fmt.Sprintf("pop-%d", steps), system, ranks, scheme, wl.Body)
 		if err != nil {
 			return popTimes{}, err
 		}

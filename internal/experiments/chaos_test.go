@@ -69,7 +69,7 @@ var chaosRanks = map[string]int{"tiger": 2, "dmz": 2, "longs": 4}
 func chaosRun(t *testing.T, system string, plan *fault.Plan) *mpi.Result {
 	t.Helper()
 	r := NewRunner(nil, Options{Faults: plan, CellTimeout: 2 * time.Minute})
-	res, err := r.runJob("chaos", system, chaosRanks[system], affinity.OneMPILocalAlloc, chaosBody)
+	res, err := r.runMPICH2("chaos", system, chaosRanks[system], affinity.OneMPILocalAlloc, chaosBody)
 	if err != nil {
 		t.Fatalf("chaos run on %s under %v: %v", system, plan, err)
 	}
@@ -123,7 +123,7 @@ func TestChaosDeterminismAcrossSystems(t *testing.T) {
 // plan returns *sim.DeadlockError instead of hanging the sweep.
 func TestChaosDeadlockStillDetected(t *testing.T) {
 	r := NewRunner(nil, Options{Faults: fault.MustParse("noise:core=*,period=10us,frac=0.2;msgdelay:delay=5us", 1)})
-	_, err := r.runJob("chaos-deadlock", "longs", 2, affinity.OneMPILocalAlloc, func(rk *mpi.Rank) {
+	_, err := r.runMPICH2("chaos-deadlock", "longs", 2, affinity.OneMPILocalAlloc, func(rk *mpi.Rank) {
 		if rk.ID() == 0 {
 			rk.Recv(1) // never sent
 		}
@@ -292,7 +292,7 @@ func TestChaosStoreIntegrity(t *testing.T) {
 	key := testCellKey("chaos-int")
 	cell := func(r *Runner) (float64, error) {
 		return runCell(r, key, func() (float64, error) {
-			res, err := r.runJob("chaos-int", key.System, key.Ranks, key.Scheme, chaosBody)
+			res, err := r.runMPICH2("chaos-int", key.System, key.Ranks, key.Scheme, chaosBody)
 			if err != nil {
 				return 0, err
 			}

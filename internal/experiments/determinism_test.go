@@ -133,8 +133,12 @@ func TestSerialParallelIdentical(t *testing.T) {
 	measured := map[string]work{}
 	exps := All()
 	if testing.Short() {
-		// One representative of each table family keeps -short fast.
-		short := []string{"fig2", "fig8", "fig14", "table2", "table8", "table13", "ablate-sublayer"}
+		// One light representative of each table family keeps -short
+		// (and CI's -race run of it) fast: table3 stands for NPB with
+		// numactl options and table11 for applications with them; fig8,
+		// fig14 and ablate-sublayer simulate through HPCC, IMB and
+		// explicit configs.
+		short := []string{"fig2", "fig8", "fig14", "table3", "table8", "table11", "ablate-sublayer"}
 		exps = exps[:0]
 		for _, id := range short {
 			e, ok := ByID(id)

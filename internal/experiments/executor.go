@@ -13,6 +13,7 @@ import (
 
 	"multicore/internal/affinity"
 	"multicore/internal/fault"
+	"multicore/internal/mpi"
 	"multicore/internal/report"
 	"multicore/internal/sim"
 	"multicore/internal/store"
@@ -30,26 +31,34 @@ import (
 // Options configures a Runner. The zero value gives the historical
 // defaults: GOMAXPROCS-wide parallelism, in-memory caching only, no
 // per-cell timeout, no tracing.
+//
+// Every engine an experiment starts runs through Runner.simulate, so
+// Parallelism, CellTimeout, TraceDir and Faults reach all of them. Store,
+// Resume, Retries and a plan's cellerr rules act on cells memoized
+// through runCell (the paper tables, fig2/fig3, numa-stream and sweep
+// grids); the other experiments simulate on every run.
 type Options struct {
-	// Parallelism bounds the number of cells simulating concurrently
-	// across all tables; < 1 means GOMAXPROCS.
+	// Parallelism bounds the number of engines simulating at once across
+	// everything the runner runs, however many experiments share it;
+	// < 1 means GOMAXPROCS.
 	Parallelism int
-	// Store, when non-nil, persists every completed cell and serves
-	// repeat runs from disk (mcbench -store).
+	// Store, when non-nil, persists every memoized cell and serves repeat
+	// runs from disk (mcbench -store).
 	Store *store.Store
 	// Resume re-runs cells whose stored status is "error" instead of
 	// reporting the recorded failure (mcbench -resume).
 	Resume bool
-	// CellTimeout bounds each cell's wall-clock simulation time; zero
-	// disables the bound. A cell that exceeds it reports a
+	// CellTimeout bounds each engine's wall-clock simulation time; zero
+	// disables the bound. An engine that exceeds it reports a
 	// *sim.CanceledError instead of stalling the sweep.
 	CellTimeout time.Duration
-	// TraceDir, when non-empty, writes one Chrome trace file per cell
-	// routed through runJob (mcbench -trace).
+	// TraceDir, when non-empty, writes one Chrome trace file per engine,
+	// named by its cell label (mcbench -trace).
 	TraceDir string
 	// Faults, when non-nil, injects the plan's deterministic perturbations
-	// into every cell (mcbench -faults). The canonical plan string and its
-	// seed join the store key, so perturbed results never alias clean ones.
+	// into every engine (mcbench -faults). The canonical plan string and
+	// its seed join the store key, so perturbed results never alias clean
+	// ones.
 	Faults *fault.Plan
 	// Retries bounds re-attempts of a cell that fails with a transient
 	// error (fault.IsTransient); zero disables retrying. Deterministic
@@ -68,8 +77,9 @@ type Options struct {
 // that must simulate every cell get isolation by constructing fresh
 // ones.
 type Runner struct {
-	ctx  context.Context
-	opts Options // fixed by NewRunner
+	ctx   context.Context
+	opts  Options       // fixed by NewRunner
+	slots chan struct{} // one per engine in flight; capacity Parallelism
 
 	mu           sync.Mutex // guards cache, traceWritten and errs
 	cache        map[CellKey]*cacheEntry
@@ -93,6 +103,7 @@ func NewRunner(ctx context.Context, opts Options) *Runner {
 	return &Runner{
 		ctx:          ctx,
 		opts:         opts,
+		slots:        make(chan struct{}, opts.Parallelism),
 		cache:        map[CellKey]*cacheEntry{},
 		traceWritten: map[string]bool{},
 	}
@@ -105,21 +116,21 @@ func (r *Runner) Context() context.Context { return r.ctx }
 // the experiment body is captured as an error — one broken artifact must
 // not kill the rest of a sweep. When the runner's context is canceled
 // the partial tables are discarded and the context error is returned, so
-// callers never emit half-computed artifacts.
+// callers never emit half-computed artifacts; that includes the panic of
+// an engine the cancellation aborted (runFunc).
 func (r *Runner) Run(e Experiment, s Scale) (tables []*report.Table, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("experiments: %s panicked: %v", e.ID, p)
 		}
+		if cerr := r.ctx.Err(); cerr != nil {
+			tables, err = nil, cerr
+		}
 	}()
 	if err := r.ctx.Err(); err != nil {
 		return nil, err
 	}
-	tables = e.Run(r, s)
-	if err := r.ctx.Err(); err != nil {
-		return nil, err
-	}
-	return tables, nil
+	return e.Run(r, s), nil
 }
 
 // CellsRun reports how many cells were actually simulated (store hits
@@ -155,16 +166,52 @@ func (r *Runner) noteErr(err error) {
 	r.mu.Unlock()
 }
 
-// Faults returns the runner's fault plan, nil when unperturbed.
-func (r *Runner) Faults() *fault.Plan { return r.opts.Faults }
-
-// jobContext derives the context one cell simulates under: the runner's
-// context, bounded by the per-cell wall-clock timeout when configured.
-func (r *Runner) jobContext() (context.Context, context.CancelFunc) {
-	if d := r.opts.CellTimeout; d > 0 {
-		return context.WithTimeout(r.ctx, d)
+// simulate is the one way an experiment starts an engine. It waits for
+// one of the runner's Parallelism slots, bounds the run by CellTimeout,
+// installs the runner's fault plan and, when TraceDir is set, records the
+// run and writes its trace under label (traceCell).
+func (r *Runner) simulate(label string, cfg mpi.Config, body func(*mpi.Rank)) (*mpi.Result, error) {
+	select {
+	case r.slots <- struct{}{}:
+	case <-r.ctx.Done():
+		return nil, r.ctx.Err()
 	}
-	return r.ctx, func() {}
+	defer func() { <-r.slots }()
+	ctx, cancel := r.ctx, context.CancelFunc(func() {})
+	if d := r.opts.CellTimeout; d > 0 {
+		ctx, cancel = context.WithTimeout(r.ctx, d)
+	}
+	defer cancel()
+	// Guarded assignment: a nil *fault.Plan inside the non-nil interface
+	// would still dispatch, losing the fault-free fast paths.
+	if plan := r.opts.Faults; plan != nil {
+		cfg.Faults = plan
+	}
+	tr, flush := r.traceCell(label)
+	cfg.Trace, cfg.Observe = tr, tr != nil
+	res, err := mpi.RunContext(ctx, cfg, body)
+	if err == nil && flush != nil {
+		flush()
+	}
+	return res, err
+}
+
+// runFunc is simulate under label with mpi.Run's signature, for the imb
+// and hpcc drivers: a failed run panics, and Runner.Run reports the panic
+// as the experiment's error, as it does for the other cells that are not
+// memoized (must).
+func (r *Runner) runFunc(label string) mpi.RunFunc {
+	return func(cfg mpi.Config, body func(*mpi.Rank)) *mpi.Result {
+		return must(r.simulate(label, cfg, body))
+	}
+}
+
+// must returns v, panicking on err (see runFunc).
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 // workerPanic carries a worker goroutine's panic to the caller.
@@ -272,7 +319,7 @@ func (r *Runner) storeKey(k CellKey) store.Key {
 		Scale:    k.Scale.String(),
 		Model:    sim.ModelVersion,
 	}
-	if plan := r.Faults(); plan != nil {
+	if plan := r.opts.Faults; plan != nil {
 		sk.Faults = plan.String()
 		sk.FaultSeed = plan.Seed()
 	}

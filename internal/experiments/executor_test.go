@@ -2,9 +2,16 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"multicore/internal/affinity"
+	"multicore/internal/machine"
+	"multicore/internal/mpi"
+	"multicore/internal/report"
 )
 
 // TestParMapPanicShortCircuits checks that once a worker panics, the
@@ -71,5 +78,46 @@ func TestParMapStopsOnCancel(t *testing.T) {
 	})
 	if got := executed.Load(); got > 1000 {
 		t.Fatalf("%d cells executed after cancellation; claim-stop failed", got)
+	}
+}
+
+// TestConcurrentExperimentsBoundEngines: experiments sharing a runner
+// never have more than Parallelism engines in flight between them,
+// however many run at once, each with its own pool of Parallelism
+// workers.
+func TestConcurrentExperimentsBoundEngines(t *testing.T) {
+	const parallelism = 2
+	r := NewRunner(nil, Options{Parallelism: parallelism})
+	var mu sync.Mutex
+	inFlight, peak := 0, 0
+	body := func(rk *mpi.Rank) {
+		mu.Lock()
+		inFlight++
+		peak = max(peak, inFlight)
+		mu.Unlock()
+		time.Sleep(2 * time.Millisecond) // hold the engine long enough to overlap
+		mu.Lock()
+		inFlight--
+		mu.Unlock()
+	}
+	cfg := mpi.Config{Spec: machine.DMZ(), Bindings: []affinity.Binding{{Core: 0}}}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		id := fmt.Sprintf("synthetic%d", i)
+		e := Experiment{ID: id, Run: func(r *Runner, s Scale) []*report.Table {
+			parMap(r, 8, func(j int) float64 { return r.runFunc(fmt.Sprintf("%s-%d", id, j))(cfg, body).Time })
+			return nil
+		}}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := r.Run(e, Quick); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if peak > parallelism {
+		t.Fatalf("%d engines in flight at once, want at most Parallelism = %d", peak, parallelism)
 	}
 }

@@ -219,31 +219,20 @@ func speedupTable(r *Runner, title string, sweep []sysRanks, labels []string,
 	return t
 }
 
-// runJob is the shared job helper: MPICH2 (the paper's NPB/application
-// stack) on the named system under a scheme, simulated under the runner's
-// context bounded by the per-cell timeout. workload names the cell for
-// trace capture; when tracing is enabled the cell's trace is written as a
-// side effect.
-func (r *Runner) runJob(workload, system string, ranks int, scheme affinity.Scheme, body func(*mpi.Rank)) (*mpi.Result, error) {
-	tr, flush := r.traceCell(cellLabel(workload, system, ranks, scheme))
-	ctx, cancel := r.jobContext()
-	defer cancel()
-	job := core.Job{
-		System:  system,
-		Ranks:   ranks,
-		Scheme:  scheme,
-		Impl:    mpi.MPICH2(),
-		Trace:   tr,
-		Observe: tr != nil,
+// runJob is the core.Job front for simulate: the job resolves to its
+// mpi.Config through core.Job.Config, exactly as core.RunContext
+// resolves it, and simulates under label.
+func (r *Runner) runJob(label string, job core.Job, body func(*mpi.Rank)) (*mpi.Result, error) {
+	cfg, err := job.Config()
+	if err != nil {
+		return nil, err
 	}
-	// Guarded assignment: a nil *fault.Plan inside the non-nil interface
-	// would still dispatch, losing the fault-free fast paths.
-	if plan := r.Faults(); plan != nil {
-		job.Faults = plan
-	}
-	res, err := core.RunContext(ctx, job, body)
-	if flush != nil && err == nil {
-		flush()
-	}
-	return res, err
+	return r.simulate(label, cfg, body)
+}
+
+// runMPICH2 runs body on the paper's NPB/application stack, MPICH2 on the
+// named system under a scheme, labelled by the cell (cellLabel).
+func (r *Runner) runMPICH2(workload, system string, ranks int, scheme affinity.Scheme, body func(*mpi.Rank)) (*mpi.Result, error) {
+	return r.runJob(cellLabel(workload, system, ranks, scheme),
+		core.Job{System: system, Ranks: ranks, Scheme: scheme, Impl: mpi.MPICH2()}, body)
 }

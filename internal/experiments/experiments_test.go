@@ -1,10 +1,15 @@
 package experiments
 
 import (
-	"multicore/internal/report"
+	"context"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"multicore/internal/fault"
+	"multicore/internal/report"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -196,5 +201,64 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// honourPlan perturbs every engine of every experiment: noise on every
+// core, a slow memory controller on socket 0 and a degraded s0-s1 link.
+const honourPlan = "noise:core=*,period=100us,frac=0.5;mcslow:socket=0,factor=0.5;linkdown:s0-s1,t=0s..inf,factor=0.5"
+
+// TestEveryExperimentHonoursRunner checks that every experiment starts
+// its engines through the runner: under a perturbing fault plan its
+// tables differ from its clean tables, and with a trace directory it
+// writes a trace file.
+func TestEveryExperimentHonoursRunner(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment twice")
+	}
+	plan := fault.MustParse(honourPlan, 1)
+	for _, e := range All() {
+		e := e
+		t.Run(e.ID, func(t *testing.T) {
+			clean := renderAll(t, testRunner, e)
+			if faulted := renderAll(t, NewRunner(nil, Options{Faults: plan}), e); faulted == clean {
+				t.Errorf("%s: tables under %q equal the clean tables", e.ID, honourPlan)
+			}
+			if !writesTrace(t, e) {
+				t.Errorf("%s: traced run wrote no trace file", e.ID)
+			}
+		})
+	}
+}
+
+// writesTrace runs e with a trace directory until its first trace file
+// appears, then cancels the run: traces of whole experiments run to
+// gigabytes.
+func writesTrace(t *testing.T, e Experiment) bool {
+	dir := t.TempDir()
+	written := func() bool {
+		files, err := os.ReadDir(dir)
+		return err == nil && len(files) > 0
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		NewRunner(ctx, Options{TraceDir: dir}).Run(e, Quick) // canceled once a file is written
+	}()
+	tick := time.NewTicker(5 * time.Millisecond)
+	defer tick.Stop()
+	for {
+		select {
+		case <-done:
+			return written()
+		case <-tick.C:
+			if written() {
+				cancel()
+				<-done
+				return true
+			}
+		}
 	}
 }

@@ -43,18 +43,14 @@ func runExtLatency(r *Runner, s Scale) []*report.Table {
 		{"longs", affinity.OneMPIMembind},
 	}
 	curves := parMap(r, len(cfgs), func(i int) []lmbench.Point {
-		ctx, cancel := r.jobContext()
-		defer cancel()
-		res, err := core.RunContext(ctx, core.Job{System: cfgs[i].system, Ranks: 1, Scheme: cfgs[i].scheme},
-			func(r *mpi.Rank) {
+		c := cfgs[i]
+		res := must(r.runJob(fmt.Sprintf("ext-latency-%s-%s", c.system, c.scheme),
+			core.Job{System: c.system, Ranks: 1, Scheme: c.scheme}, func(r *mpi.Rank) {
 				pts := lmbench.Run(r, lmbench.Params{})
 				for _, p := range pts {
 					r.Report(fmt.Sprintf("%s%.0f", lmbench.MetricPrefix, p.WorkingSetBytes), p.LatencySeconds)
 				}
-			})
-		if err != nil {
-			panic(err)
-		}
+			}))
 		var pts []lmbench.Point
 		for size := 4.0 * 1024; size <= 64*1024*1024; size *= 4 {
 			key := fmt.Sprintf("%s%.0f", lmbench.MetricPrefix, size)
@@ -91,17 +87,9 @@ func runExtOpenMP(r *Runner, s Scale) []*report.Table {
 	}
 	rows := parMap(r, len(cases), func(i int) []string {
 		c := cases[i]
-		body, err := npb.RunFTHybrid(class, c.threads)
-		if err != nil {
-			panic(err)
-		}
-		ctx, cancel := r.jobContext()
-		defer cancel()
-		res, err := core.RunContext(ctx, core.Job{System: "longs", Ranks: c.ranks, Scheme: c.scheme,
-			Impl: mpi.MPICH2()}, body)
-		if err != nil {
-			panic(err)
-		}
+		res := must(r.runJob(fmt.Sprintf("ext-openmp-r%dx%d-%s", c.ranks, c.threads, c.scheme),
+			core.Job{System: "longs", Ranks: c.ranks, Scheme: c.scheme, Impl: mpi.MPICH2()},
+			must(npb.RunFTHybrid(class, c.threads))))
 		return []string{c.name, fmt.Sprintf("%dx%d", c.ranks, c.threads),
 			report.Seconds(res.Max(npb.MetricFTTime))}
 	})
@@ -126,20 +114,12 @@ func runAblateMigration(r *Runner, s Scale) []*report.Table {
 		"Migration period", "Chain time (s)", "LJ time (s)")
 	spec := machine.Longs()
 	timeFor := func(bench lammps.Benchmark, period float64) float64 {
-		b, err := affinity.Layout(affinity.TwoMPILocalAlloc, spec.Topo, 8)
-		if err != nil {
-			panic(err)
-		}
+		b := must(affinity.Layout(affinity.TwoMPILocalAlloc, spec.Topo, 8))
 		cfg := mpi.Config{Spec: spec, Impl: mpi.MPICH2(), Bindings: b,
 			OSMigrationPeriod: period}
-		ctx, cancel := r.jobContext()
-		defer cancel()
-		res, err := mpi.RunContext(ctx, cfg, func(r *mpi.Rank) {
+		res := must(r.simulate(fmt.Sprintf("ablate-migration-%s-%g", bench, period), cfg, func(r *mpi.Rank) {
 			lammps.Run(r, lammps.Params{Bench: bench, Steps: 20})
-		})
-		if err != nil {
-			panic(err)
-		}
+		}))
 		return res.Max(lammps.MetricTime)
 	}
 	periods := []float64{0, 10e-3, 1e-3, 100e-6}
@@ -204,7 +184,7 @@ func runExtNPB(r *Runner, s Scale) []*report.Table {
 		if err != nil {
 			panic(err)
 		}
-		res, err := r.runJob("npb-"+k+"-"+string(class), "longs", c.ranks, c.scheme, body)
+		res, err := r.runMPICH2("npb-"+k+"-"+string(class), "longs", c.ranks, c.scheme, body)
 		if err != nil {
 			panic(err)
 		}
@@ -256,25 +236,13 @@ func runExtCluster(r *Runner, s Scale) []*report.Table {
 	}
 	rows := parMap(r, len(cases), func(i int) []string {
 		c := cases[i]
-		ctx, cancel := r.jobContext()
-		defer cancel()
-		res, err := core.RunContext(ctx, core.Job{System: "dmz", Ranks: 4,
+		res := must(r.runJob("ext-cluster-"+c.name, core.Job{System: "dmz", Ranks: 4,
 			Scheme: affinity.TwoMPILocalAlloc, Impl: mpi.MPICH2(),
-			Nodes: c.nodes, Net: c.net}, body)
-		if err != nil {
-			panic(err)
-		}
+			Nodes: c.nodes, Net: c.net}, body))
 		return []string{c.name, fmt.Sprint(4 * max(1, c.nodes)), report.Seconds(res.Max(npb.MetricCGTime))}
 	})
 	for _, row := range rows {
 		t.AddRow(row...)
 	}
 	return []*report.Table{t}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -68,7 +68,7 @@ func (r *Runner) RunWorkloadCell(spec workload.Spec, system string, ranks int, s
 		if err != nil {
 			return 0, err
 		}
-		res, err := r.runJob(key.Workload, system, ranks, scheme, wl.Body)
+		res, err := r.runMPICH2(key.Workload, system, ranks, scheme, wl.Body)
 		if err != nil {
 			return 0, err
 		}

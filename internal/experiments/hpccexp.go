@@ -60,10 +60,12 @@ func runFig8(r *Runner, s Scale) []*report.Table {
 	opts := hpcc.LongsOptions()
 	rows := parMap(r, len(opts)+1, func(i int) []string {
 		if i == len(opts) {
-			return []string{"DMZ", hpcc.DMZOption().Name,
-				report.F(hpcc.HPL(machine.DMZ(), hpcc.DMZOption(), hplN(s)/2))}
+			dmz := hpcc.DMZOption()
+			return []string{"DMZ", dmz.Name,
+				report.F(hpcc.HPL(r.runFunc("fig8-hpl-dmz-"+dmz.Name), machine.DMZ(), dmz, hplN(s)/2))}
 		}
-		return []string{"Longs", opts[i].Name, report.F(hpcc.HPL(longs, opts[i], hplN(s)))}
+		return []string{"Longs", opts[i].Name,
+			report.F(hpcc.HPL(r.runFunc("fig8-hpl-longs-"+opts[i].Name), longs, opts[i], hplN(s)))}
 	})
 	for _, row := range rows {
 		t.AddRow(row...)
@@ -85,10 +87,10 @@ func runFig9(r *Runner, s Scale) []*report.Table {
 	rows := parMap(r, len(opts), func(i int) []string {
 		opt := opts[i]
 		return []string{opt.Name,
-			report.F(hpcc.DGEMM(longs, opt, false, n)),
-			report.F(hpcc.DGEMM(longs, opt, true, n)),
-			report.F(hpcc.FFT(longs, opt, false, fftN)),
-			report.F(hpcc.FFT(longs, opt, true, fftN))}
+			report.F(hpcc.DGEMM(r.runFunc("fig9-dgemm-single-"+opt.Name), longs, opt, false, n)),
+			report.F(hpcc.DGEMM(r.runFunc("fig9-dgemm-star-"+opt.Name), longs, opt, true, n)),
+			report.F(hpcc.FFT(r.runFunc("fig9-fft-single-"+opt.Name), longs, opt, false, fftN)),
+			report.F(hpcc.FFT(r.runFunc("fig9-fft-star-"+opt.Name), longs, opt, true, fftN))}
 	})
 	for _, row := range rows {
 		t.AddRow(row...)
@@ -103,8 +105,8 @@ func runFig10(r *Runner, s Scale) []*report.Table {
 	opts := hpcc.LongsOptions()
 	rows := parMap(r, len(opts), func(i int) []string {
 		opt := opts[i]
-		single := hpcc.STREAM(longs, opt, false)
-		star := hpcc.STREAM(longs, opt, true)
+		single := hpcc.STREAM(r.runFunc("fig10-single-"+opt.Name), longs, opt, false)
+		star := hpcc.STREAM(r.runFunc("fig10-star-"+opt.Name), longs, opt, true)
 		return []string{opt.Name, report.F(single), report.F(star), report.F(single / star)}
 	})
 	for _, row := range rows {
@@ -120,9 +122,9 @@ func runFig11(r *Runner, s Scale) []*report.Table {
 	opts := hpcc.LongsOptions()
 	rows := parMap(r, len(opts), func(i int) []string {
 		opt := opts[i]
-		single := hpcc.RandomAccess(longs, opt, hpcc.RASingle)
-		star := hpcc.RandomAccess(longs, opt, hpcc.RAStar)
-		mpiRA := hpcc.RandomAccess(longs, opt, hpcc.RAMPI)
+		single := hpcc.RandomAccess(r.runFunc("fig11-single-"+opt.Name), longs, opt, hpcc.RASingle)
+		star := hpcc.RandomAccess(r.runFunc("fig11-star-"+opt.Name), longs, opt, hpcc.RAStar)
+		mpiRA := hpcc.RandomAccess(r.runFunc("fig11-mpi-"+opt.Name), longs, opt, hpcc.RAMPI)
 		return []string{opt.Name, report.F(single), report.F(star), report.F(mpiRA), report.F(single / star)}
 	})
 	for _, row := range rows {
@@ -143,10 +145,10 @@ func runFig12(r *Runner, s Scale) []*report.Table {
 	opts := hpcc.LongsOptions()
 	rows := parMap(r, len(opts), func(i int) []string {
 		opt := opts[i]
-		pp := hpcc.PingPong(longs, opt, msg)
-		ring := hpcc.Ring(longs, opt, msg)
+		pp := hpcc.PingPong(r.runFunc("fig12-pingpong-"+opt.Name), longs, opt, msg)
+		ring := hpcc.Ring(r.runFunc("fig12-ring-"+opt.Name), longs, opt, msg)
 		return []string{opt.Name,
-			report.F(hpcc.PTRANS(longs, opt, n)),
+			report.F(hpcc.PTRANS(r.runFunc("fig12-ptrans-"+opt.Name), longs, opt, n)),
 			report.F(pp.Bandwidth / units.Mega),
 			report.F(ring.Bandwidth / units.Mega)}
 	})
@@ -163,8 +165,8 @@ func runFig13(r *Runner, s Scale) []*report.Table {
 	opts := hpcc.LongsOptions()
 	rows := parMap(r, len(opts), func(i int) []string {
 		opt := opts[i]
-		pp := hpcc.PingPong(longs, opt, 8)
-		ring := hpcc.Ring(longs, opt, 8)
+		pp := hpcc.PingPong(r.runFunc("fig13-pingpong-"+opt.Name), longs, opt, 8)
+		ring := hpcc.Ring(r.runFunc("fig13-ring-"+opt.Name), longs, opt, 8)
 		return []string{opt.Name,
 			report.F(pp.Latency / units.Microsecond),
 			report.F(ring.Latency / units.Microsecond)}

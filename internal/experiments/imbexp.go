@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"multicore/internal/affinity"
 	"multicore/internal/kernels/imb"
@@ -57,6 +58,9 @@ func dmzPair(impl *mpi.Impl, cores ...int) mpi.Config {
 	return mpi.Config{Spec: spec, Impl: impl, Bindings: b}
 }
 
+// bytesLabel writes a message size for an engine label.
+func bytesLabel(size float64) string { return strconv.FormatFloat(size, 'f', 0, 64) }
+
 func imbImpls() []*mpi.Impl {
 	return []*mpi.Impl{mpi.MPICH2(), mpi.LAM(), mpi.OpenMPI()}
 }
@@ -67,7 +71,8 @@ func runFig14(r *Runner, s Scale) []*report.Table {
 	sizes := imbSizes(s)
 	impls := imbImpls()
 	pts := parMap(r, len(sizes)*len(impls), func(i int) imb.Point {
-		return imb.PingPong(dmzPair(impls[i%len(impls)], 0, 2), sizes[i/len(impls)], 20)
+		impl, size := impls[i%len(impls)], sizes[i/len(impls)]
+		return imb.PingPong(r.runFunc("fig14-"+impl.Name+"-"+bytesLabel(size)), dmzPair(impl, 0, 2), size, 20)
 	})
 	for i, size := range sizes {
 		lats := make([]string, 0, 3)
@@ -88,7 +93,8 @@ func runFig15(r *Runner, s Scale) []*report.Table {
 	sizes := imbSizes(s)
 	impls := imbImpls()
 	pts := parMap(r, len(sizes)*len(impls), func(i int) imb.Point {
-		return imb.Exchange(dmzPairN(impls[i%len(impls)], 4), sizes[i/len(impls)], 15)
+		impl, size := impls[i%len(impls)], sizes[i/len(impls)]
+		return imb.Exchange(r.runFunc("fig15-"+impl.Name+"-"+bytesLabel(size)), dmzPairN(impl, 4), size, 15)
 	})
 	for i, size := range sizes {
 		ts := make([]string, 0, 3)
@@ -136,7 +142,8 @@ func runFig16(r *Runner, s Scale) []*report.Table {
 	sizes := imbSizes(s)
 	cfgs := bindingConfigs()
 	pts := parMap(r, len(sizes)*len(cfgs), func(i int) imb.Point {
-		return imb.PingPong(dmzPair(mpi.OpenMPI(), cfgs[i%len(cfgs)].Cores...), sizes[i/len(cfgs)], 20)
+		cfg, size := cfgs[i%len(cfgs)], sizes[i/len(cfgs)]
+		return imb.PingPong(r.runFunc("fig16-"+cfg.Name+"-"+bytesLabel(size)), dmzPair(mpi.OpenMPI(), cfg.Cores...), size, 20)
 	})
 	for i, size := range sizes {
 		row := []string{fmt.Sprintf("%.0f", size)}
@@ -166,11 +173,13 @@ func runFig17(r *Runner, s Scale) []*report.Table {
 	pts := parMap(r, len(sizes)*stride, func(i int) imb.Point {
 		size, j := sizes[i/stride], i%stride
 		if j == len(cfgs) {
-			return imb.Exchange(dmzPairN(mpi.OpenMPI(), 4), size, 15)
+			return imb.Exchange(r.runFunc("fig17-r4-"+bytesLabel(size)), dmzPairN(mpi.OpenMPI(), 4), size, 15)
 		}
 		// Exchange needs communicating neighbors only; parked ranks
 		// do not apply, so reuse the first two cores.
-		return imb.Exchange(dmzPair(mpi.OpenMPI(), cfgs[j].Cores[0], cfgs[j].Cores[1]), size, 15)
+		c0, c1 := cfgs[j].Cores[0], cfgs[j].Cores[1]
+		label := "fig17-c" + strconv.Itoa(c0) + "-" + strconv.Itoa(c1) + "-" + bytesLabel(size)
+		return imb.Exchange(r.runFunc(label), dmzPair(mpi.OpenMPI(), c0, c1), size, 15)
 	})
 	for i, size := range sizes {
 		row := []string{fmt.Sprintf("%.0f", size)}

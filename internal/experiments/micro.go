@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"multicore/internal/affinity"
 	"multicore/internal/kernels/blas"
@@ -81,19 +82,12 @@ func triadAggregate(r *Runner, spec *machine.Spec, n int, vecBytes float64) (flo
 		for i, c := range order {
 			bindings[i] = affinity.Binding{Core: c, MemPolicy: 1 /* LocalAlloc */}
 		}
-		tr, flush := r.traceCell(cellLabel(fmt.Sprintf("stream-triad-%g", vecBytes),
-			spec.Topo.Name, n, affinity.Default))
-		ctx, cancel := r.jobContext()
-		defer cancel()
-		res, err := mpi.RunContext(ctx, mpi.Config{Spec: spec, Impl: mpi.LAM(), Bindings: bindings,
-			Trace: tr, Observe: tr != nil}, func(r *mpi.Rank) {
-			stream.RunTriad(r, stream.Params{VectorBytes: vecBytes, Iters: 2})
-		})
+		res, err := r.simulate(cellLabel(fmt.Sprintf("stream-triad-%g", vecBytes), spec.Topo.Name, n, affinity.Default),
+			mpi.Config{Spec: spec, Impl: mpi.LAM(), Bindings: bindings}, func(r *mpi.Rank) {
+				stream.RunTriad(r, stream.Params{VectorBytes: vecBytes, Iters: 2})
+			})
 		if err != nil {
 			return 0, err
-		}
-		if flush != nil {
-			flush()
 		}
 		return res.Sum(stream.MetricBandwidth) / units.Giga, nil
 	})
@@ -177,34 +171,36 @@ func daxpySizes(s Scale) []int {
 	return sizes
 }
 
-// runTasksOnDMZ runs body on n tasks placed like the paper's DMZ runs
-// (spread across sockets first) and returns the result. It panics on a
-// run error — Runner.Run converts that into an experiment error.
-func runTasksOnDMZ(r *Runner, n int, body func(*mpi.Rank)) *mpi.Result {
+// runOnDMZ runs body on n tasks of DMZ with local pages: spread across
+// sockets first like the paper's DMZ runs or, when packed, on as few
+// sockets as possible. kernel and size name the engine's trace label. A
+// failed run panics (see runFunc).
+func runOnDMZ(r *Runner, kernel string, size, n int, packed bool, body func(*mpi.Rank)) *mpi.Result {
 	spec := machine.DMZ()
-	order := streamCores(spec)[:n]
 	bindings := make([]affinity.Binding, n)
-	for i, c := range order {
-		bindings[i] = affinity.Binding{Core: c, MemPolicy: 1 /* LocalAlloc */}
+	for i := range bindings {
+		bindings[i] = affinity.Binding{Core: topology.CoreID(i), MemPolicy: 1 /* LocalAlloc */}
 	}
-	ctx, cancel := r.jobContext()
-	defer cancel()
-	res, err := mpi.RunContext(ctx, mpi.Config{Spec: spec, Impl: mpi.LAM(), Bindings: bindings}, body)
-	if err != nil {
-		panic(err)
+	layout := "packed"
+	if !packed {
+		layout = "spread"
+		for i, c := range streamCores(spec)[:n] {
+			bindings[i].Core = c
+		}
 	}
-	return res
+	label := kernel + "-" + strconv.Itoa(size) + "-dmz-r" + strconv.Itoa(n) + "-" + layout
+	return must(r.simulate(label, mpi.Config{Spec: spec, Impl: mpi.LAM(), Bindings: bindings}, body))
 }
 
 func runDaxpy(r *Runner, s Scale, v blas.Variant) []*report.Table {
 	t := report.New(
 		fmt.Sprintf("Figure 4: DAXPY (%s) on DMZ — aggregate and per-core MFlop/s", v),
 		"Vector length", "Total (1)", "Total (2)", "Per core (2)", "Total (4)", "Per core (4)")
-	sizes := daxpySizes(s)
+	sizes, kernel := daxpySizes(s), "daxpy-"+v.String()
 	taskCounts := []int{1, 2, 4}
 	totals := parMap(r, len(sizes)*len(taskCounts), func(i int) float64 {
 		n, tasks := sizes[i/len(taskCounts)], taskCounts[i%len(taskCounts)]
-		res := runTasksOnDMZ(r, tasks, func(r *mpi.Rank) {
+		res := runOnDMZ(r, kernel, n, tasks, false, func(r *mpi.Rank) {
 			blas.RunDaxpy(r, blas.DaxpyParams{N: n, Variant: v, Iters: 4})
 		})
 		return res.Sum(blas.MetricDaxpyFlops) / units.Mega
@@ -228,38 +224,19 @@ func runDaxpyPerSocket(r *Runner, s Scale, v blas.Variant) []*report.Table {
 	t := report.New(
 		fmt.Sprintf("Figure 5: DAXPY (%s) per-core MFlop/s — one vs two tasks per socket (DMZ)", v),
 		"Vector length", "1 task/socket (2 tasks)", "2 tasks/socket (2 tasks)")
-	sizes := daxpySizes(s)
+	sizes, kernel := daxpySizes(s), "daxpy-"+v.String()
 	vals := parMap(r, 2*len(sizes), func(i int) float64 {
 		n, packed := sizes[i/2], i%2 == 1
 		body := func(r *mpi.Rank) {
 			blas.RunDaxpy(r, blas.DaxpyParams{N: n, Variant: v, Iters: 4})
 		}
-		if packed { // cores 0 and 1
-			return runPackedOnDMZ(r, 2, body).Mean(blas.MetricDaxpyFlops)
-		}
-		return runTasksOnDMZ(r, 2, body).Mean(blas.MetricDaxpyFlops) // cores 0 and 2
+		// Packed is cores 0 and 1, spread cores 0 and 2.
+		return runOnDMZ(r, kernel, n, 2, packed, body).Mean(blas.MetricDaxpyFlops)
 	})
 	for i, n := range sizes {
 		t.AddRow(fmt.Sprint(n), report.F(vals[2*i]/units.Mega), report.F(vals[2*i+1]/units.Mega))
 	}
 	return []*report.Table{t}
-}
-
-// runPackedOnDMZ packs n tasks onto as few sockets as possible. Like
-// runTasksOnDMZ, it panics on a run error.
-func runPackedOnDMZ(r *Runner, n int, body func(*mpi.Rank)) *mpi.Result {
-	spec := machine.DMZ()
-	bindings := make([]affinity.Binding, n)
-	for i := 0; i < n; i++ {
-		bindings[i] = affinity.Binding{Core: topology.CoreID(i), MemPolicy: 1}
-	}
-	ctx, cancel := r.jobContext()
-	defer cancel()
-	res, err := mpi.RunContext(ctx, mpi.Config{Spec: spec, Impl: mpi.LAM(), Bindings: bindings}, body)
-	if err != nil {
-		panic(err)
-	}
-	return res
 }
 
 func dgemmSizes(s Scale) []int {
@@ -274,11 +251,11 @@ func runDgemm(r *Runner, s Scale, v blas.Variant) []*report.Table {
 	t := report.New(
 		fmt.Sprintf("Figure 6: DGEMM (%s) on DMZ — aggregate and per-core GFlop/s", v),
 		"Matrix order", "Total (1)", "Total (2)", "Per core (2)", "Total (4)", "Per core (4)")
-	sizes := dgemmSizes(s)
+	sizes, kernel := dgemmSizes(s), "dgemm-"+v.String()
 	taskCounts := []int{1, 2, 4}
 	totals := parMap(r, len(sizes)*len(taskCounts), func(i int) float64 {
 		n, tasks := sizes[i/len(taskCounts)], taskCounts[i%len(taskCounts)]
-		res := runTasksOnDMZ(r, tasks, func(r *mpi.Rank) {
+		res := runOnDMZ(r, kernel, n, tasks, false, func(r *mpi.Rank) {
 			blas.RunDgemm(r, blas.DgemmParams{N: n, Variant: v, Iters: 1})
 		})
 		return res.Sum(blas.MetricDgemmFlops) / units.Giga
@@ -302,16 +279,13 @@ func runDgemmPerSocket(r *Runner, s Scale, v blas.Variant) []*report.Table {
 	t := report.New(
 		fmt.Sprintf("Figure 7: DGEMM (%s) per-core GFlop/s — one vs two tasks per socket (DMZ)", v),
 		"Matrix order", "1 task/socket (2 tasks)", "2 tasks/socket (2 tasks)")
-	sizes := dgemmSizes(s)
+	sizes, kernel := dgemmSizes(s), "dgemm-"+v.String()
 	vals := parMap(r, 2*len(sizes), func(i int) float64 {
 		n, packed := sizes[i/2], i%2 == 1
 		body := func(r *mpi.Rank) {
 			blas.RunDgemm(r, blas.DgemmParams{N: n, Variant: v, Iters: 1})
 		}
-		if packed {
-			return runPackedOnDMZ(r, 2, body).Mean(blas.MetricDgemmFlops)
-		}
-		return runTasksOnDMZ(r, 2, body).Mean(blas.MetricDgemmFlops)
+		return runOnDMZ(r, kernel, n, 2, packed, body).Mean(blas.MetricDgemmFlops)
 	})
 	for i, n := range sizes {
 		t.AddRow(fmt.Sprint(n), report.F(vals[2*i]/units.Giga), report.F(vals[2*i+1]/units.Giga))

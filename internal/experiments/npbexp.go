@@ -50,7 +50,7 @@ func npbTime(r *Runner, kernel string, class npb.Class, system string, ranks int
 		if err != nil {
 			return 0, err
 		}
-		res, err := r.runJob("npb-"+kernel+"-"+string(class), system, ranks, scheme, wl.Body)
+		res, err := r.runMPICH2("npb-"+kernel+"-"+string(class), system, ranks, scheme, wl.Body)
 		if err != nil {
 			return 0, err
 		}

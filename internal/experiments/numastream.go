@@ -82,10 +82,8 @@ func numaStreamBW(r *Runner, sys numaSystem, core topology.CoreID, node int, vec
 		System:   sys.label, Ranks: 1,
 	}, func() (float64, error) {
 		bindings := []affinity.Binding{{Core: core, MemPolicy: mem.Membind, BindNodes: []int{node}}}
-		ctx, cancel := r.jobContext()
-		defer cancel()
-		res, err := mpi.RunContext(ctx, mpi.Config{Spec: spec, Impl: mpi.LAM(), Bindings: bindings},
-			func(r *mpi.Rank) {
+		res, err := r.simulate(fmt.Sprintf("numa-stream-%g-%s-c%d-n%d", vec, sys.label, core, node),
+			mpi.Config{Spec: spec, Impl: mpi.LAM(), Bindings: bindings}, func(r *mpi.Rank) {
 				stream.RunTriad(r, stream.Params{VectorBytes: vec, Iters: 2})
 			})
 		if err != nil {
@@ -157,10 +155,8 @@ func numaStreamAggregate(r *Runner, sys numaSystem, scheme affinity.Scheme, vec 
 		if err != nil {
 			return 0, err
 		}
-		ctx, cancel := r.jobContext()
-		defer cancel()
-		res, err := mpi.RunContext(ctx, mpi.Config{Spec: spec, Impl: mpi.LAM(), Bindings: bindings},
-			func(r *mpi.Rank) {
+		res, err := r.simulate(cellLabel(fmt.Sprintf("numa-stream-agg-%g", vec), sys.label, ranks, scheme),
+			mpi.Config{Spec: spec, Impl: mpi.LAM(), Bindings: bindings}, func(r *mpi.Rank) {
 				stream.RunTriad(r, stream.Params{VectorBytes: vec, Iters: 2})
 			})
 		if err != nil {

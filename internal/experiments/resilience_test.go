@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"multicore/internal/affinity"
+	"multicore/internal/machine"
+	"multicore/internal/mpi"
 	"multicore/internal/report"
 	"multicore/internal/sim"
 	"multicore/internal/store"
@@ -332,6 +334,24 @@ func TestCanceledRunnerDiscardsPartialTables(t *testing.T) {
 	}
 	if r.CellsRun() != 0 {
 		t.Fatalf("canceled runner simulated %d cells", r.CellsRun())
+	}
+
+	// An engine the cancellation aborts panics out of runFunc; that
+	// panic is the cancellation too, not a failed experiment.
+	ctx, cancel = context.WithCancel(context.Background())
+	r = NewRunner(ctx, Options{})
+	cfg := mpi.Config{Spec: machine.DMZ(), Bindings: []affinity.Binding{{Core: 0}}}
+	tabs, err = r.Run(Experiment{ID: "synthetic-abort", Run: func(r *Runner, s Scale) []*report.Table {
+		cancel()
+		r.runFunc("synthetic-abort")(cfg, func(rk *mpi.Rank) {
+			for i := 0; i < 10000; i++ { // more events than the engine runs between context checks
+				rk.Compute(1e3, 1)
+			}
+		})
+		return []*report.Table{report.New("partial", "x")}
+	}}, Quick)
+	if tabs != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("aborted engine: got (%v, %v), want no tables and context.Canceled", tabs, err)
 	}
 }
 

@@ -60,19 +60,14 @@ func runExtScale(r *Runner, s Scale) []*report.Table {
 	}
 	cells := parMap(r, len(nodeCounts), func(i int) cell {
 		nodes := nodeCounts[i]
-		ctx, cancel := r.jobContext()
-		defer cancel()
-		res, err := core.RunContext(ctx, core.Job{
+		res := must(r.runJob(fmt.Sprintf("ext-scale-n%d", nodes), core.Job{
 			System: "longs",
 			Ranks:  ranksPerNode,
 			Scheme: affinity.Default,
 			Impl:   mpi.MPICH2(),
 			Nodes:  nodes,
 			Net:    mpi.RapidArray(),
-		}, ringHaloBody(steps, haloBytes))
-		if err != nil {
-			panic(err)
-		}
+		}, ringHaloBody(steps, haloBytes)))
 		return cell{time: res.Time, msgs: res.Messages,
 			events: res.Stats.Events, spawns: res.Stats.Spawns}
 	})

@@ -10,13 +10,16 @@ import (
 	"multicore/internal/sim"
 )
 
-// Per-cell trace capture for mcbench -trace: when a runner has a trace
-// directory, every cell routed through runJob records a sim.Trace and
-// writes it to <dir>/<label>.trace.json. Each cell owns a private
-// engine, so trace content depends only on the cell's configuration;
-// files are byte-identical however many pool workers run (the
-// determinism regression covers this). Tracing is disabled by default
-// and costs a mutex probe per cell when off.
+// Per-engine trace capture for mcbench -trace: when a runner has a trace
+// directory, every engine an experiment starts (all of them run through
+// Runner.simulate) records a sim.Trace and writes it to
+// <dir>/<label>.trace.json. A label names its cell: cellLabel where the
+// cell is a workload on a system, ranks and scheme, else the experiment
+// id and the engine's parameters. Each engine is private to its cell, so
+// trace content depends only on the cell's configuration; files are
+// byte-identical however many pool workers run (the determinism
+// regression covers this). Tracing is disabled by default and costs a
+// label and a mutex probe per engine when off.
 
 // cellLabel names one simulated cell for trace files.
 func cellLabel(workload, system string, ranks int, scheme affinity.Scheme) string {

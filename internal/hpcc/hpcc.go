@@ -2,7 +2,8 @@
 // does (Section 3.3, Figures 8-13): one binary's worth of kernels run in
 // Single mode (one rank), Star mode (every core, no communication), or
 // MPI mode, under the six LAM/NUMA runtime option combinations evaluated
-// on the Longs system.
+// on the Longs system. Each measurement simulates through the run
+// function it is given: mpi.Run, or a caller's wrapper of it.
 package hpcc
 
 import (
@@ -71,20 +72,21 @@ func bindingsFor(spec *machine.Spec, opt RuntimeOption, ranks int) []affinity.Bi
 	return b
 }
 
-// run executes body under an option and rank count.
-func run(spec *machine.Spec, opt RuntimeOption, ranks int, body func(*mpi.Rank)) *mpi.Result {
-	return mpi.Run(mpi.Config{
+// config is the job every measurement runs: LAM with the option's lock
+// sub-layer, ranks laid out by bindingsFor.
+func config(spec *machine.Spec, opt RuntimeOption, ranks int) mpi.Config {
+	return mpi.Config{
 		Spec:          spec,
 		Impl:          mpi.LAM().WithSublayer(opt.Sub),
 		Bindings:      bindingsFor(spec, opt, ranks),
 		DeriveBufMode: true,
-	}, body)
+	}
 }
 
 // HPL runs the Linpack benchmark over all cores and returns GFlop/s
 // (Figure 8).
-func HPL(spec *machine.Spec, opt RuntimeOption, n int) float64 {
-	res := run(spec, opt, spec.Topo.NumCores(), func(r *mpi.Rank) {
+func HPL(run mpi.RunFunc, spec *machine.Spec, opt RuntimeOption, n int) float64 {
+	res := run(config(spec, opt, spec.Topo.NumCores()), func(r *mpi.Rank) {
 		hpl.Run(r, hpl.Params{N: n})
 	})
 	return res.Max(hpl.MetricGFlops)
@@ -92,12 +94,12 @@ func HPL(spec *machine.Spec, opt RuntimeOption, n int) float64 {
 
 // DGEMM returns per-core GFlop/s in Single (star=false) or Star mode
 // (Figure 9).
-func DGEMM(spec *machine.Spec, opt RuntimeOption, star bool, n int) float64 {
+func DGEMM(run mpi.RunFunc, spec *machine.Spec, opt RuntimeOption, star bool, n int) float64 {
 	ranks := 1
 	if star {
 		ranks = spec.Topo.NumCores()
 	}
-	res := run(spec, opt, ranks, func(r *mpi.Rank) {
+	res := run(config(spec, opt, ranks), func(r *mpi.Rank) {
 		blas.RunDgemm(r, blas.DgemmParams{N: n, Variant: blas.ACML, Iters: 1})
 	})
 	return res.Mean(blas.MetricDgemmFlops) / 1e9
@@ -105,12 +107,12 @@ func DGEMM(spec *machine.Spec, opt RuntimeOption, star bool, n int) float64 {
 
 // FFT returns per-core GFlop/s for the local FFT kernel in Single or Star
 // mode (Figure 9).
-func FFT(spec *machine.Spec, opt RuntimeOption, star bool, n int) float64 {
+func FFT(run mpi.RunFunc, spec *machine.Spec, opt RuntimeOption, star bool, n int) float64 {
 	ranks := 1
 	if star {
 		ranks = spec.Topo.NumCores()
 	}
-	res := run(spec, opt, ranks, func(r *mpi.Rank) {
+	res := run(config(spec, opt, ranks), func(r *mpi.Rank) {
 		fft.RunLocal(r, fft.LocalParams{N: n, Iters: 1})
 	})
 	return res.Mean(fft.MetricFlops) / 1e9
@@ -118,12 +120,12 @@ func FFT(spec *machine.Spec, opt RuntimeOption, star bool, n int) float64 {
 
 // STREAM returns per-core triad bandwidth (GB/s) in Single or Star mode
 // (Figure 10).
-func STREAM(spec *machine.Spec, opt RuntimeOption, star bool) float64 {
+func STREAM(run mpi.RunFunc, spec *machine.Spec, opt RuntimeOption, star bool) float64 {
 	ranks := 1
 	if star {
 		ranks = spec.Topo.NumCores()
 	}
-	res := run(spec, opt, ranks, func(r *mpi.Rank) {
+	res := run(config(spec, opt, ranks), func(r *mpi.Rank) {
 		stream.RunTriad(r, stream.Params{VectorBytes: 16 << 20, Iters: 2})
 	})
 	return res.Mean(stream.MetricBandwidth) / 1e9
@@ -141,12 +143,12 @@ const (
 )
 
 // RandomAccess returns per-core GUPS for the chosen mode (Figure 11).
-func RandomAccess(spec *machine.Spec, opt RuntimeOption, mode RAMode) float64 {
+func RandomAccess(run mpi.RunFunc, spec *machine.Spec, opt RuntimeOption, mode RAMode) float64 {
 	ranks := 1
 	if mode != RASingle {
 		ranks = spec.Topo.NumCores()
 	}
-	res := run(spec, opt, ranks, func(r *mpi.Rank) {
+	res := run(config(spec, opt, ranks), func(r *mpi.Rank) {
 		rnda.Run(r, rnda.Params{
 			TableBytes: 64 << 20,
 			Updates:    2e6,
@@ -159,30 +161,20 @@ func RandomAccess(spec *machine.Spec, opt RuntimeOption, mode RAMode) float64 {
 // PTRANS returns per-core transpose bandwidth in GB/s over all cores
 // (Figure 12). Pick n so the per-pair block (8*n^2/p^2) stays inside the
 // transport's segment pool if pool-placement effects are under study.
-func PTRANS(spec *machine.Spec, opt RuntimeOption, n int) float64 {
-	res := run(spec, opt, spec.Topo.NumCores(), func(r *mpi.Rank) {
+func PTRANS(run mpi.RunFunc, spec *machine.Spec, opt RuntimeOption, n int) float64 {
+	res := run(config(spec, opt, spec.Topo.NumCores()), func(r *mpi.Rank) {
 		ptrans.Run(r, ptrans.Params{N: n, Iters: 1})
 	})
 	return res.Mean(ptrans.MetricBandwidth) / 1e9
 }
 
-// commCfg builds an mpi.Config for the imb helpers under an option.
-func commCfg(spec *machine.Spec, opt RuntimeOption, ranks int) mpi.Config {
-	return mpi.Config{
-		Spec:          spec,
-		Impl:          mpi.LAM().WithSublayer(opt.Sub),
-		Bindings:      bindingsFor(spec, opt, ranks),
-		DeriveBufMode: true,
-	}
-}
-
 // PingPong returns the two-rank point (Figure 12/13 bandwidth and
 // latency).
-func PingPong(spec *machine.Spec, opt RuntimeOption, bytes float64) imb.Point {
-	return imb.PingPong(commCfg(spec, opt, 2), bytes, 30)
+func PingPong(run mpi.RunFunc, spec *machine.Spec, opt RuntimeOption, bytes float64) imb.Point {
+	return imb.PingPong(run, config(spec, opt, 2), bytes, 30)
 }
 
 // Ring returns the all-core ring point (Figure 12/13).
-func Ring(spec *machine.Spec, opt RuntimeOption, bytes float64) imb.Point {
-	return imb.Ring(commCfg(spec, opt, spec.Topo.NumCores()), bytes, 30)
+func Ring(run mpi.RunFunc, spec *machine.Spec, opt RuntimeOption, bytes float64) imb.Point {
+	return imb.Ring(run, config(spec, opt, spec.Topo.NumCores()), bytes, 30)
 }

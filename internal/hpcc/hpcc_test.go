@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"multicore/internal/machine"
+	"multicore/internal/mpi"
 )
 
 func findOpt(t *testing.T, name string) RuntimeOption {
@@ -38,8 +39,8 @@ func TestStarDGEMMMatchesSingle(t *testing.T) {
 	// second core effectively doubles per-socket throughput.
 	spec := machine.Longs()
 	opt := findOpt(t, "USysV")
-	single := DGEMM(spec, opt, false, 700)
-	star := DGEMM(spec, opt, true, 700)
+	single := DGEMM(mpi.Run, spec, opt, false, 700)
+	star := DGEMM(mpi.Run, spec, opt, true, 700)
 	ratio := star / single
 	if ratio < 0.9 || ratio > 1.05 {
 		t.Fatalf("Star/Single DGEMM = %.3f, want ~1", ratio)
@@ -49,8 +50,8 @@ func TestStarDGEMMMatchesSingle(t *testing.T) {
 func TestStarFFTSlightlyBelowSingle(t *testing.T) {
 	spec := machine.Longs()
 	opt := findOpt(t, "USysV")
-	single := FFT(spec, opt, false, 1<<20)
-	star := FFT(spec, opt, true, 1<<20)
+	single := FFT(mpi.Run, spec, opt, false, 1<<20)
+	star := FFT(mpi.Run, spec, opt, true, 1<<20)
 	ratio := star / single
 	if ratio < 0.55 || ratio >= 1.0 {
 		t.Fatalf("Star/Single FFT = %.3f, want slightly under 1", ratio)
@@ -62,8 +63,8 @@ func TestStarSTREAMWorseThanHalfSingle(t *testing.T) {
 	// per-socket STREAM bandwidth.
 	spec := machine.Longs()
 	opt := findOpt(t, "localalloc")
-	single := STREAM(spec, opt, false)
-	star := STREAM(spec, opt, true)
+	single := STREAM(mpi.Run, spec, opt, false)
+	star := STREAM(mpi.Run, spec, opt, true)
 	if star >= single/2 {
 		t.Fatalf("Star per-core STREAM %.3f should be < half of Single %.3f", star, single)
 	}
@@ -74,8 +75,8 @@ func TestStarRABetterThanHalfSingle(t *testing.T) {
 	// a net gain for latency-bound access.
 	spec := machine.Longs()
 	opt := findOpt(t, "localalloc")
-	single := RandomAccess(spec, opt, RASingle)
-	star := RandomAccess(spec, opt, RAStar)
+	single := RandomAccess(mpi.Run, spec, opt, RASingle)
+	star := RandomAccess(mpi.Run, spec, opt, RAStar)
 	if star <= single/2 {
 		t.Fatalf("Star per-core RA %.4f should exceed half of Single %.4f", star, single)
 	}
@@ -83,8 +84,8 @@ func TestStarRABetterThanHalfSingle(t *testing.T) {
 
 func TestMPIRandomAccessSysVCollapse(t *testing.T) {
 	spec := machine.Longs()
-	sysv := RandomAccess(spec, findOpt(t, "SysV"), RAMPI)
-	usysv := RandomAccess(spec, findOpt(t, "USysV"), RAMPI)
+	sysv := RandomAccess(mpi.Run, spec, findOpt(t, "SysV"), RAMPI)
+	usysv := RandomAccess(mpi.Run, spec, findOpt(t, "USysV"), RAMPI)
 	if sysv >= usysv {
 		t.Fatalf("SysV MPI-RA %.4f should be below USysV %.4f", sysv, usysv)
 	}
@@ -94,10 +95,10 @@ func TestHPLSublayerDominatesPlacement(t *testing.T) {
 	// Paper Fig 8: the MPI sub-layer matters more than the placement
 	// scheme for HPL.
 	spec := machine.Longs()
-	def := HPL(spec, findOpt(t, "default"), 1536)
-	sysv := HPL(spec, findOpt(t, "SysV"), 1536)
-	usysv := HPL(spec, findOpt(t, "USysV"), 1536)
-	inter := HPL(spec, findOpt(t, "interleave"), 1536)
+	def := HPL(mpi.Run, spec, findOpt(t, "default"), 1536)
+	sysv := HPL(mpi.Run, spec, findOpt(t, "SysV"), 1536)
+	usysv := HPL(mpi.Run, spec, findOpt(t, "USysV"), 1536)
+	inter := HPL(mpi.Run, spec, findOpt(t, "interleave"), 1536)
 	subEffect := usysv - sysv
 	placeEffect := def - inter
 	if subEffect <= 0 {
@@ -112,8 +113,8 @@ func TestPTRANSLocalallocDegradesUSysV(t *testing.T) {
 	// Paper Fig 12: localalloc+USysV is worse than USysV alone (segment
 	// hotspot).
 	spec := machine.Longs()
-	usysv := PTRANS(spec, findOpt(t, "USysV"), 1024)
-	combo := PTRANS(spec, findOpt(t, "localalloc+USysV"), 1024)
+	usysv := PTRANS(mpi.Run, spec, findOpt(t, "USysV"), 1024)
+	combo := PTRANS(mpi.Run, spec, findOpt(t, "localalloc+USysV"), 1024)
 	if combo >= usysv {
 		t.Fatalf("localalloc+USysV PTRANS %.3f should be below USysV %.3f", combo, usysv)
 	}
@@ -122,8 +123,8 @@ func TestPTRANSLocalallocDegradesUSysV(t *testing.T) {
 func TestRingLatencyAboveQPingPong(t *testing.T) {
 	spec := machine.Longs()
 	opt := findOpt(t, "USysV")
-	pp := PingPong(spec, opt, 8)
-	ring := Ring(spec, opt, 8)
+	pp := PingPong(mpi.Run, spec, opt, 8)
+	ring := Ring(mpi.Run, spec, opt, 8)
 	if ring.Latency <= pp.Latency {
 		t.Fatalf("ring latency %v should exceed pingpong %v", ring.Latency, pp.Latency)
 	}
@@ -131,14 +132,14 @@ func TestRingLatencyAboveQPingPong(t *testing.T) {
 
 func TestDMZOptionRuns(t *testing.T) {
 	spec := machine.DMZ()
-	if gf := HPL(spec, DMZOption(), 1024); gf <= 0 {
+	if gf := HPL(mpi.Run, spec, DMZOption(), 1024); gf <= 0 {
 		t.Fatalf("DMZ HPL = %v", gf)
 	}
 }
 
 func TestSingleDGEMMNearPeakOnLongs(t *testing.T) {
 	spec := machine.Longs() // peak 3.6 GFlop/s per core
-	gf := DGEMM(spec, findOpt(t, "default"), false, 512)
+	gf := DGEMM(mpi.Run, spec, findOpt(t, "default"), false, 512)
 	if gf < 2.8 || gf > 3.6 {
 		t.Fatalf("Single DGEMM = %.2f GF, want near 3.17 (88%% of peak)", gf)
 	}
@@ -147,8 +148,8 @@ func TestSingleDGEMMNearPeakOnLongs(t *testing.T) {
 func TestStreamOptionsOrdering(t *testing.T) {
 	// Single-mode STREAM: localalloc beats interleave on Longs.
 	spec := machine.Longs()
-	local := STREAM(spec, findOpt(t, "localalloc"), false)
-	inter := STREAM(spec, findOpt(t, "interleave"), false)
+	local := STREAM(mpi.Run, spec, findOpt(t, "localalloc"), false)
+	inter := STREAM(mpi.Run, spec, findOpt(t, "interleave"), false)
 	if inter >= local {
 		t.Fatalf("interleave Single STREAM %.2f should trail localalloc %.2f", inter, local)
 	}
@@ -157,8 +158,8 @@ func TestStreamOptionsOrdering(t *testing.T) {
 func TestRASingleUnaffectedBySublayer(t *testing.T) {
 	// Non-MPI RandomAccess ignores the lock sub-layer entirely.
 	spec := machine.Longs()
-	a := RandomAccess(spec, findOpt(t, "SysV"), RASingle)
-	b := RandomAccess(spec, findOpt(t, "USysV"), RASingle)
+	a := RandomAccess(mpi.Run, spec, findOpt(t, "SysV"), RASingle)
+	b := RandomAccess(mpi.Run, spec, findOpt(t, "USysV"), RASingle)
 	if a != b {
 		t.Fatalf("Single RA differs across sub-layers: %v vs %v", a, b)
 	}

@@ -25,15 +25,16 @@ func (p Point) String() string {
 // additional ranks are "parked": they exist (and perturb placement) but
 // do not communicate, matching the paper's "2 procs, unbound, 2 parked"
 // configuration. Reported latency is one-way; bandwidth is
-// bytes/one-way-time.
-func PingPong(cfg mpi.Config, bytes float64, iters int) Point {
+// bytes/one-way-time. Like every benchmark here, it simulates through run
+// (mpi.Run, or a caller's wrapper of it).
+func PingPong(run mpi.RunFunc, cfg mpi.Config, bytes float64, iters int) Point {
 	if len(cfg.Bindings) < 2 {
 		panic("imb: PingPong needs at least 2 ranks")
 	}
 	if iters <= 0 {
 		iters = 50
 	}
-	res := mpi.Run(cfg, func(r *mpi.Rank) {
+	res := run(cfg, func(r *mpi.Rank) {
 		switch r.ID() {
 		case 0:
 			touchScratch(r, bytes)
@@ -64,7 +65,7 @@ func PingPong(cfg mpi.Config, bytes float64, iters int) Point {
 // Exchange measures the IMB Exchange pattern: every rank sends to both
 // chain neighbours and receives from both each iteration. Reported
 // bandwidth follows the IMB convention of 4x message size per iteration.
-func Exchange(cfg mpi.Config, bytes float64, iters int) Point {
+func Exchange(run mpi.RunFunc, cfg mpi.Config, bytes float64, iters int) Point {
 	n := len(cfg.Bindings)
 	if n < 2 {
 		panic("imb: Exchange needs at least 2 ranks")
@@ -72,7 +73,7 @@ func Exchange(cfg mpi.Config, bytes float64, iters int) Point {
 	if iters <= 0 {
 		iters = 50
 	}
-	res := mpi.Run(cfg, func(r *mpi.Rank) {
+	res := run(cfg, func(r *mpi.Rank) {
 		touchScratch(r, bytes)
 		left := (r.ID() - 1 + n) % n
 		right := (r.ID() + 1) % n
@@ -94,7 +95,7 @@ func Exchange(cfg mpi.Config, bytes float64, iters int) Point {
 
 // Ring measures a simultaneous ring shift across all ranks (the HPCC
 // ring latency/bandwidth probe). Latency is per shift operation.
-func Ring(cfg mpi.Config, bytes float64, iters int) Point {
+func Ring(run mpi.RunFunc, cfg mpi.Config, bytes float64, iters int) Point {
 	n := len(cfg.Bindings)
 	if n < 2 {
 		panic("imb: Ring needs at least 2 ranks")
@@ -102,7 +103,7 @@ func Ring(cfg mpi.Config, bytes float64, iters int) Point {
 	if iters <= 0 {
 		iters = 50
 	}
-	res := mpi.Run(cfg, func(r *mpi.Rank) {
+	res := run(cfg, func(r *mpi.Rank) {
 		touchScratch(r, bytes)
 		next := (r.ID() + 1) % n
 		prev := (r.ID() - 1 + n) % n
@@ -172,14 +173,14 @@ func (k CollectiveKind) String() string {
 // Collective measures one collective operation across all ranks of cfg:
 // the reported latency is the mean period per operation at the slowest
 // rank, matching the IMB convention.
-func Collective(cfg mpi.Config, kind CollectiveKind, bytes float64, iters int) Point {
+func Collective(run mpi.RunFunc, cfg mpi.Config, kind CollectiveKind, bytes float64, iters int) Point {
 	if len(cfg.Bindings) < 2 {
 		panic("imb: collectives need at least 2 ranks")
 	}
 	if iters <= 0 {
 		iters = 20
 	}
-	res := mpi.Run(cfg, func(r *mpi.Rank) {
+	res := run(cfg, func(r *mpi.Rank) {
 		touchScratch(r, bytes)
 		r.Barrier()
 		start := r.Now()

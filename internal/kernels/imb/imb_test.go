@@ -23,7 +23,7 @@ func TestPingPongLatencyMonotoneInSize(t *testing.T) {
 	cfg := cfgOn(machine.DMZ(), mpi.OpenMPI(), 0, 2)
 	prev := 0.0
 	for _, size := range []float64{64, 4096, 262144, 4 << 20} {
-		pt := PingPong(cfg, size, 10)
+		pt := PingPong(mpi.Run, cfg, size, 10)
 		if pt.Latency <= prev {
 			t.Fatalf("latency not monotone at %v bytes: %v <= %v", size, pt.Latency, prev)
 		}
@@ -33,8 +33,8 @@ func TestPingPongLatencyMonotoneInSize(t *testing.T) {
 
 func TestPingPongBandwidthSaturates(t *testing.T) {
 	cfg := cfgOn(machine.DMZ(), mpi.MPICH2(), 0, 2)
-	small := PingPong(cfg, 64, 10)
-	large := PingPong(cfg, 4<<20, 5)
+	small := PingPong(mpi.Run, cfg, 64, 10)
+	large := PingPong(mpi.Run, cfg, 4<<20, 5)
 	if large.Bandwidth < 20*small.Bandwidth {
 		t.Fatalf("large-message bandwidth %s should dwarf small-message %s",
 			units.Rate(large.Bandwidth), units.Rate(small.Bandwidth))
@@ -49,8 +49,8 @@ func TestBoundBeatsUnboundSplit(t *testing.T) {
 	// Paper Fig 16: binding both processes to one dual-core socket gives
 	// ~10-13% more bandwidth than placing them on different sockets.
 	spec := machine.DMZ()
-	same := PingPong(cfgOn(spec, mpi.OpenMPI(), 0, 1), 1<<20, 10)
-	split := PingPong(cfgOn(spec, mpi.OpenMPI(), 0, 2), 1<<20, 10)
+	same := PingPong(mpi.Run, cfgOn(spec, mpi.OpenMPI(), 0, 1), 1<<20, 10)
+	split := PingPong(mpi.Run, cfgOn(spec, mpi.OpenMPI(), 0, 2), 1<<20, 10)
 	gain := same.Bandwidth / split.Bandwidth
 	if gain < 1.02 || gain > 1.6 {
 		t.Fatalf("intra-socket gain = %.2fx (same=%s split=%s), want ~1.1x",
@@ -60,7 +60,7 @@ func TestBoundBeatsUnboundSplit(t *testing.T) {
 
 func TestParkedProcessesDoNotBreakPingPong(t *testing.T) {
 	spec := machine.DMZ()
-	pt := PingPong(cfgOn(spec, mpi.OpenMPI(), 0, 2, 1, 3), 64<<10, 8)
+	pt := PingPong(mpi.Run, cfgOn(spec, mpi.OpenMPI(), 0, 2, 1, 3), 64<<10, 8)
 	if pt.Latency <= 0 || pt.Bandwidth <= 0 {
 		t.Fatalf("parked run produced %v", pt)
 	}
@@ -68,8 +68,8 @@ func TestParkedProcessesDoNotBreakPingPong(t *testing.T) {
 
 func TestExchangeSlowerThanPingPong(t *testing.T) {
 	spec := machine.DMZ()
-	pp := PingPong(cfgOn(spec, mpi.OpenMPI(), 0, 2), 64<<10, 10)
-	ex := Exchange(cfgOn(spec, mpi.OpenMPI(), 0, 1, 2, 3), 64<<10, 10)
+	pp := PingPong(mpi.Run, cfgOn(spec, mpi.OpenMPI(), 0, 2), 64<<10, 10)
+	ex := Exchange(mpi.Run, cfgOn(spec, mpi.OpenMPI(), 0, 1, 2, 3), 64<<10, 10)
 	// Exchange moves 4 messages per rank per iteration; its period must
 	// exceed a single one-way time.
 	if ex.Latency <= pp.Latency {
@@ -81,8 +81,8 @@ func TestRingLatencyExceedsPingPong(t *testing.T) {
 	// Paper Fig 13: ring latencies are higher than PingPong latencies.
 	spec := machine.Longs()
 	impl := mpi.LAM().WithSublayer(mpi.USysV())
-	pp := PingPong(cfgOn(spec, impl, 0, 2), 1024, 20)
-	ring := Ring(cfgOn(spec, impl, 0, 2, 4, 6, 8, 10, 12, 14), 1024, 20)
+	pp := PingPong(mpi.Run, cfgOn(spec, impl, 0, 2), 1024, 20)
+	ring := Ring(mpi.Run, cfgOn(spec, impl, 0, 2, 4, 6, 8, 10, 12, 14), 1024, 20)
 	if ring.Latency <= pp.Latency {
 		t.Fatalf("ring latency %v should exceed pingpong %v", ring.Latency, pp.Latency)
 	}
@@ -90,8 +90,8 @@ func TestRingLatencyExceedsPingPong(t *testing.T) {
 
 func TestSysVDominatesSmallMessageLatency(t *testing.T) {
 	spec := machine.Longs()
-	sysv := PingPong(cfgOn(spec, mpi.LAM().WithSublayer(mpi.SysV()), 0, 2), 8, 20)
-	usysv := PingPong(cfgOn(spec, mpi.LAM().WithSublayer(mpi.USysV()), 0, 2), 8, 20)
+	sysv := PingPong(mpi.Run, cfgOn(spec, mpi.LAM().WithSublayer(mpi.SysV()), 0, 2), 8, 20)
+	usysv := PingPong(mpi.Run, cfgOn(spec, mpi.LAM().WithSublayer(mpi.USysV()), 0, 2), 8, 20)
 	if sysv.Latency < 5*usysv.Latency {
 		t.Fatalf("SysV latency %v should dwarf USysV %v", sysv.Latency, usysv.Latency)
 	}
@@ -109,13 +109,13 @@ func TestMPIImplCrossover(t *testing.T) {
 	spec := machine.DMZ()
 	small := 256.0
 	large := float64(4 * units.MB)
-	lamS := PingPong(cfgOn(spec, mpi.LAM(), 0, 2), small, 20)
-	mpichS := PingPong(cfgOn(spec, mpi.MPICH2(), 0, 2), small, 20)
+	lamS := PingPong(mpi.Run, cfgOn(spec, mpi.LAM(), 0, 2), small, 20)
+	mpichS := PingPong(mpi.Run, cfgOn(spec, mpi.MPICH2(), 0, 2), small, 20)
 	if lamS.Latency >= mpichS.Latency {
 		t.Fatalf("LAM small-message latency %v should beat MPICH2 %v", lamS.Latency, mpichS.Latency)
 	}
-	lamL := PingPong(cfgOn(spec, mpi.LAM(), 0, 2), large, 5)
-	mpichL := PingPong(cfgOn(spec, mpi.MPICH2(), 0, 2), large, 5)
+	lamL := PingPong(mpi.Run, cfgOn(spec, mpi.LAM(), 0, 2), large, 5)
+	mpichL := PingPong(mpi.Run, cfgOn(spec, mpi.MPICH2(), 0, 2), large, 5)
 	if mpichL.Bandwidth <= lamL.Bandwidth {
 		t.Fatalf("MPICH2 large-message bandwidth %s should beat LAM %s",
 			units.Rate(mpichL.Bandwidth), units.Rate(lamL.Bandwidth))
@@ -125,8 +125,8 @@ func TestMPIImplCrossover(t *testing.T) {
 func TestCollectiveLatencyGrowsWithSize(t *testing.T) {
 	cfg := cfgOn(machine.Longs(), mpi.MPICH2(), 0, 2, 4, 6, 8, 10, 12, 14)
 	for _, kind := range []CollectiveKind{CollAllreduce, CollBcast, CollAlltoall} {
-		small := Collective(cfg, kind, 64, 5)
-		large := Collective(cfg, kind, 1<<20, 5)
+		small := Collective(mpi.Run, cfg, kind, 64, 5)
+		large := Collective(mpi.Run, cfg, kind, 1<<20, 5)
 		if large.Latency <= small.Latency {
 			t.Fatalf("%v: large payload (%v) not slower than small (%v)",
 				kind, large.Latency, small.Latency)
@@ -144,8 +144,8 @@ func TestAlltoallCostliestAtScale(t *testing.T) {
 	// Alltoall moves n-1 messages per rank; for equal total payload it
 	// must cost at least as much as a bcast.
 	cfg := cfgOn(machine.Longs(), mpi.MPICH2(), 0, 2, 4, 6, 8, 10, 12, 14)
-	a2a := Collective(cfg, CollAlltoall, 1<<20, 5)
-	bc := Collective(cfg, CollBcast, 1<<20, 5)
+	a2a := Collective(mpi.Run, cfg, CollAlltoall, 1<<20, 5)
+	bc := Collective(mpi.Run, cfg, CollBcast, 1<<20, 5)
 	if a2a.Latency < bc.Latency/4 {
 		t.Fatalf("alltoall (%v) implausibly cheap vs bcast (%v)", a2a.Latency, bc.Latency)
 	}
@@ -155,9 +155,9 @@ func TestCollectiveAcrossClusterNodes(t *testing.T) {
 	cfg := cfgOn(machine.DMZ(), mpi.MPICH2(), 0, 2)
 	cfg.Nodes = 2
 	cfg.Net = mpi.RapidArray()
-	pt := Collective(cfg, CollAllreduce, 4096, 10)
+	pt := Collective(mpi.Run, cfg, CollAllreduce, 4096, 10)
 	// Crossing nodes adds network latency on top of the shm path.
-	intra := Collective(cfgOn(machine.DMZ(), mpi.MPICH2(), 0, 2), CollAllreduce, 4096, 10)
+	intra := Collective(mpi.Run, cfgOn(machine.DMZ(), mpi.MPICH2(), 0, 2), CollAllreduce, 4096, 10)
 	if pt.Latency <= intra.Latency {
 		t.Fatalf("cluster allreduce (%v) should exceed intra-node (%v)", pt.Latency, intra.Latency)
 	}

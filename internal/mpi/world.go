@@ -259,6 +259,11 @@ func Run(cfg Config, body func(*Rank)) *Result {
 	return res
 }
 
+// RunFunc has Run's signature. Benchmark drivers (internal/kernels/imb,
+// internal/hpcc) take one instead of calling Run, so a caller can route
+// their engines through its own timeout, fault plan and tracing.
+type RunFunc func(cfg Config, body func(*Rank)) *Result
+
 // RunContext is Run with cancellation and structured failure: the run
 // stops early when ctx is canceled or its deadline passes (returning
 // *sim.CanceledError), and a deadlocked workload returns

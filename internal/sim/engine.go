@@ -31,8 +31,11 @@ import (
 // ModelVersion names the simulation model's semantic generation. It is
 // baked into persistent result-store keys (internal/store), so bump it
 // whenever an engine or machine-model change alters simulated results —
-// the same events that require regenerating engine_golden.json.
-const ModelVersion = "mc-sim/3"
+// the same events that require regenerating engine_golden.json — or
+// stored results stop matching their keys. mc-sim/4 retires fig2, fig3
+// and numa-stream entries that earlier builds stored under fault-plan
+// keys although those cells ran unperturbed.
+const ModelVersion = "mc-sim/4"
 
 // BlockedProc describes one process stuck at deadlock detection time: its
 // name and the wait label it blocked on (e.g. "recv from 3").

@@ -25,9 +25,9 @@ type CoordinatorOptions struct {
 	// Lease is how long a worker may hold a cell without heartbeating
 	// before the coordinator re-queues it. Default 15s.
 	Lease time.Duration
-	// MaxAttempts bounds lease assignments per cell (crashed workers,
-	// transient failures); past it the cell finalizes as an error.
-	// Default 5.
+	// MaxAttempts bounds lease assignments per cell (leases that expire
+	// on crashed or stalled workers); past it the cell finalizes as an
+	// error. Default 5.
 	MaxAttempts int
 	// PollWait caps a worker long-poll. Default 5s.
 	PollWait time.Duration
@@ -1249,21 +1249,12 @@ func (c *Coordinator) completeLocked(req CompleteRequest) {
 		}
 		return
 	}
+	// Every reported result is final, failures included: a worker has
+	// already spent the sweep's retry budget on transient ones, and the
+	// seeded fault draws repeat the same outcome on any worker.
 	res := req.Result
 	res.Worker = req.Worker
 	res.Attempt = req.Attempt
-	if res.Status == StatusError && res.Transient && st.asg.Attempt < c.opts.MaxAttempts {
-		// Transient failure with budget left: re-lease, possibly to a
-		// different worker. Deterministic failures finalize immediately —
-		// they repeat identically anywhere. A cell whose lease already
-		// expired is queued already.
-		c.opts.Logf("transient failure on cell %s attempt %d (%s); re-queueing", req.ID, req.Attempt, res.Error)
-		if st.state == cellLeased {
-			c.requeueLocked(st)
-			c.signalLocked()
-		}
-		return
-	}
 	c.finalizeLocked(req.ID, st, res)
 }
 

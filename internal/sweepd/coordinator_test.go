@@ -17,7 +17,7 @@ import (
 )
 
 // Control-plane tests: fake workers drive the coordinator's HTTP API
-// directly, so lease expiry, transient requeue, dedup, and divergence
+// directly, so lease expiry, failure finalization, dedup, and divergence
 // detection are exercised without running simulations.
 
 func startCoordinator(t *testing.T, opts CoordinatorOptions) (*Coordinator, *httptest.Server) {
@@ -167,43 +167,6 @@ func TestHeartbeatKeepsLease(t *testing.T) {
 	<-sumc
 	if err := <-errc; err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTransientFailureRequeues(t *testing.T) {
-	_, srv := startCoordinator(t, CoordinatorOptions{Lease: time.Second})
-	w := registerWorker(t, srv.URL)
-	req := SweepRequest{SchemaVersion: schema.Version, Grid: testGrid()}
-	sumc, resc, errc := submitAsync(t, srv.URL, req)
-
-	asg := pollUntil(t, srv.URL, w, 2*time.Second)
-	if asg == nil {
-		t.Fatal("no assignment")
-	}
-	res := CellResult{Cell: asg.Cell, Status: StatusError, Error: "injected transient", Transient: true, Simulated: true}
-	res.Fingerprint = Fingerprint(res)
-	postAs[struct{}](t, srv.URL+PathComplete, CompleteRequest{Worker: w, ID: asg.ID, Attempt: asg.Attempt, Result: res})
-
-	asg2 := pollUntil(t, srv.URL, w, 2*time.Second)
-	if asg2 == nil {
-		t.Fatal("transient failure was not re-queued")
-	}
-	if asg2.Attempt != 2 {
-		t.Fatalf("requeued attempt = %d, want 2", asg2.Attempt)
-	}
-	completeOK(t, srv.URL, w, asg2, 3.25)
-	sum := <-sumc
-	results := <-resc
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-	if sum.Errors != 0 {
-		t.Errorf("summary errors = %d, want 0 (retry succeeded)", sum.Errors)
-	}
-	for _, r := range results {
-		if r.Status != StatusOK || r.Attempt != 2 {
-			t.Errorf("result = %+v, want OK at attempt 2", r)
-		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"multicore/internal/experiments"
+	"multicore/internal/fault"
 	"multicore/internal/schema"
 	"multicore/internal/store"
 )
@@ -218,5 +219,47 @@ func TestDuplicateSubmissionsSimulateEachCellOnce(t *testing.T) {
 		if b := r2[k]; a.Fingerprint != b.Fingerprint {
 			t.Errorf("duplicate sweeps diverge at %s: %s vs %s", k, a.Fingerprint, b.Fingerprint)
 		}
+	}
+}
+
+// TestTransientFailureSimulatesOnce: a cell whose injected transient
+// failure outlives the worker's retry budget is final after one lease.
+// A cellerr draw depends only on the seed, the cell, the rule and the
+// worker-local attempt, so leasing the cell again would only repeat the
+// failure: every seed's remote result matches a local run of the same
+// cell, at attempt 1, and the worker simulates the cell exactly once.
+func TestTransientFailureSimulatesOnce(t *testing.T) {
+	const plan = "cellerr:p=0.5"
+	g := testGrid()
+	_, srv := startCoordinator(t, CoordinatorOptions{Lease: 5 * time.Second})
+	w, _ := startE2EWorker(t, srv.URL, "", "a", nil)
+	failed := 0
+	for seed := int64(1); seed <= 8; seed++ {
+		local := RunLocal(experiments.NewRunner(context.Background(), experiments.Options{
+			Parallelism: 1, Faults: fault.MustParse(plan, seed), Retries: 1,
+		}), g, 1)
+		before, _ := w.Stats()
+		results := map[string]CellResult{}
+		if _, err := Submit(context.Background(), srv.URL, SweepRequest{
+			SchemaVersion: schema.Version, Grid: g, Faults: plan, FaultSeed: seed, Retries: 1,
+		}, func(r CellResult) { results[r.Cell.Key()] = r }); err != nil {
+			t.Fatal(err)
+		}
+		if after, _ := w.Stats(); after-before != 1 {
+			t.Errorf("seed %d: the worker simulated the cell %d times, want once", seed, after-before)
+		}
+		for k, want := range local {
+			got := results[k]
+			if got.Fingerprint != want.Fingerprint || got.Attempt != 1 {
+				t.Errorf("seed %d: remote result %+v at attempt %d, want the local %+v at attempt 1",
+					seed, got, got.Attempt, want)
+			}
+			if want.Status == StatusError {
+				failed++
+			}
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no seed failed the cell; the plan no longer exercises a lasting transient failure")
 	}
 }

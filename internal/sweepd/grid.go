@@ -22,8 +22,9 @@
 //     grids share one execution), and the store dedups across sweeps.
 //   - Crash tolerance: leases expire when a worker stops heartbeating and
 //     the cell is re-queued; transient cell failures (fault.IsTransient)
-//     are retried on the worker and re-leased by the coordinator, while
-//     deterministic failures render ERR exactly like a local sweep.
+//     are retried on the worker within the sweep's retry budget, and
+//     every reported result is final, so failures render ERR exactly
+//     like a local sweep.
 package sweepd
 
 import (

@@ -105,9 +105,9 @@ func cellStates(c *Coordinator, asgs []*Assignment) []int {
 
 // TestLeaseListRenewalOrder: heartbeats renew a subset of leases out of
 // lease order, and reaping once the first leases lapse re-queues
-// exactly the cells that were not renewed. A cell re-queued by a
-// transient failure and leased again has one lease-list entry and is
-// not reaped at its first lease's expiry.
+// exactly the cells that were not renewed. A cell that completes with a
+// transient error is final and leaves the lease list, and a re-queued
+// cell leased again has one lease-list entry.
 func TestLeaseListRenewalOrder(t *testing.T) {
 	const lease = time.Second
 	c, srv := startCoordinator(t, CoordinatorOptions{Lease: lease, MaxAttempts: 10, QuarantineAfter: 100})
@@ -124,17 +124,13 @@ func TestLeaseListRenewalOrder(t *testing.T) {
 	leasedBy := time.Now() // every first lease expires by leasedBy+lease
 	checkCellStates(t, c)
 
-	res := CellResult{Cell: asgs[1].Cell, Status: StatusError, Error: "injected transient", Transient: true}
+	res := CellResult{Cell: asgs[1].Cell, Status: StatusError, Error: "injected transient"}
 	res.Fingerprint = Fingerprint(res)
 	postAs[struct{}](t, srv.URL+PathComplete, CompleteRequest{Worker: w, ID: asgs[1].ID, Attempt: 1, Result: res})
 	checkCellStates(t, c)
 
 	time.Sleep(lease / 3)
-	renewedAt := time.Now() // renewals and the re-lease expire after renewedAt+lease
-	again := pollUntil(t, srv.URL, w, 2*time.Second)
-	if again == nil || again.ID != asgs[1].ID || again.Attempt != 2 {
-		t.Fatalf("re-lease = %+v, want cell %s at attempt 2", again, asgs[1].ID)
-	}
+	renewedAt := time.Now() // renewals expire after renewedAt+lease
 	hb := postAs[HeartbeatResponse](t, srv.URL+PathHeartbeat, HeartbeatRequest{
 		Worker: w, IDs: []string{asgs[6].ID, asgs[4].ID, asgs[2].ID, asgs[0].ID},
 	})
@@ -150,9 +146,16 @@ func TestLeaseListRenewalOrder(t *testing.T) {
 	if late := time.Since(renewedAt.Add(lease)); late >= 0 {
 		t.Fatalf("reaped %s after the renewed leases expired; the test's timing needs a less loaded host", late)
 	}
-	want := []int{cellLeased, cellLeased, cellLeased, cellQueued, cellLeased, cellQueued, cellLeased, cellQueued}
+	want := []int{cellLeased, cellDone, cellLeased, cellQueued, cellLeased, cellQueued, cellLeased, cellQueued}
 	if got := cellStates(c, asgs); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("cell states after reaping = %v, want %v (%d queued, %d leased)", got, want, cellQueued, cellLeased)
+		t.Errorf("cell states after reaping = %v, want %v (%d queued, %d leased, %d done)",
+			got, want, cellQueued, cellLeased, cellDone)
+	}
+	checkCellStates(t, c)
+
+	again := pollUntil(t, srv.URL, w, 2*time.Second)
+	if again == nil || again.ID != asgs[3].ID || again.Attempt != 2 {
+		t.Fatalf("re-lease = %+v, want cell %s at attempt 2", again, asgs[3].ID)
 	}
 	checkCellStates(t, c)
 }
@@ -439,8 +442,8 @@ func FuzzWorkerRequests(f *testing.F) {
 	leasedID, queuedID := cells[0].Key(), cells[1].Key()
 	ok := CellResult{Cell: cells[0], Status: StatusOK, Seconds: 1.5, Simulated: true}
 	ok.Fingerprint = Fingerprint(ok)
-	transient := CellResult{Cell: cells[1], Status: StatusError, Error: "injected", Transient: true}
-	transient.Fingerprint = Fingerprint(transient)
+	failed := CellResult{Cell: cells[1], Status: StatusError, Error: "injected"}
+	failed.Fingerprint = Fingerprint(failed)
 	seeds := []struct {
 		endpoint uint8
 		req      any
@@ -449,8 +452,8 @@ func FuzzWorkerRequests(f *testing.F) {
 		{0, PollRequest{Worker: "w9"}},
 		{1, CompleteRequest{Worker: "w1", ID: leasedID, Attempt: 1, Result: ok, WaitMillis: 1}},
 		{1, CompleteRequest{Worker: "w1", ID: leasedID, Attempt: 1, Result: ok}},
-		{1, CompleteRequest{Worker: "w1", ID: leasedID, Attempt: 1, Result: transient, WaitMillis: 1}},
-		{1, CompleteRequest{Worker: "w1", ID: queuedID, Result: transient, WaitMillis: 1}},
+		{1, CompleteRequest{Worker: "w1", ID: leasedID, Attempt: 1, Result: failed, WaitMillis: 1}},
+		{1, CompleteRequest{Worker: "w1", ID: queuedID, Result: failed, WaitMillis: 1}},
 		{1, CompleteRequest{Worker: "w1", ID: queuedID, Result: ok, WaitMillis: 1}},
 		{1, CompleteRequest{Worker: "w1", ID: queuedID, Result: ok}},
 		{2, HeartbeatRequest{Worker: "w1", IDs: []string{leasedID, queuedID, "nope", leasedID}}},

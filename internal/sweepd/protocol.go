@@ -84,7 +84,6 @@ type CellResult struct {
 	Status      string   `json:"status"`
 	Seconds     float64  `json:"seconds,omitempty"`
 	Error       string   `json:"error,omitempty"`
-	Transient   bool     `json:"transient,omitempty"`
 	Fingerprint string   `json:"fingerprint"`
 	Worker      string   `json:"worker,omitempty"`
 	Simulated   bool     `json:"simulated,omitempty"`

@@ -182,12 +182,12 @@ func TestScreenGridMatchesPerCell(t *testing.T) {
 		factors map[string]float64
 		digest  string
 	}{
-		{nil, "75a5fd62db9cf13d6e4b1dfae6642f6b644279b23a2fe8dceee685bfa2120c6a"},
+		{nil, "f739031524e4e208503193e33b2a80408c63914fcd4765816c202b0168f5b4fd"},
 		{map[string]float64{
 			analytic.Class("stream", "tiger"): 1.3,
 			analytic.Class("cg", "longs"):     0.7,
 			analytic.Class("lmbench", id):     1.1,
-		}, "1f88200dfaa305576d1e81d59a91cd336fbdead9336a80d94293439b677016a8"},
+		}, "82e9021f5699b62afdd19f7e27ea3608fa9daefd9c58016654c96000acd5d558"},
 	} {
 		e, ref := analytic.New(), analytic.New()
 		e.SetCalibration(tc.factors)

@@ -6,7 +6,6 @@ import (
 
 	"multicore/internal/affinity"
 	"multicore/internal/experiments"
-	"multicore/internal/fault"
 	"multicore/internal/report"
 	"multicore/internal/workload"
 )
@@ -87,7 +86,6 @@ func resultFor(c CellSpec, secs float64, err error) CellResult {
 	default:
 		res.Status = StatusError
 		res.Error = err.Error()
-		res.Transient = fault.IsTransient(err)
 	}
 	res.Fingerprint = Fingerprint(res)
 	return res
