@@ -35,19 +35,18 @@
 // residual-error report; standalone `mcbench -calibrate -store DIR`
 // prints just the report.
 //
-// Every simulation of every experiment runs through one runner path, so
-// -j (engines in flight), -timeout (wall-clock budget per engine),
-// -faults and -trace reach all of them. Sweeps are resilient:
-// SIGINT/SIGTERM cancels the running simulations cleanly, a panicking
-// cell renders as ERR instead of killing the run, and with -store every
-// completed memoized cell (paper tables, fig2/fig3, numa-stream, sweep
-// grids) is persisted so the next invocation (add -resume to also retry
-// failed cells) re-runs only what is missing and reproduces
-// byte-identical tables. Concurrent -store runs over the same directory
-// are serialized by an advisory lock. With -faults, the deterministic
-// perturbations of a fault plan (see internal/fault) are injected into
-// every simulation; -retries re-attempts memoized cells that fail
-// transiently.
+// Every simulation of every experiment runs as one cell through one
+// runner path, so -j (engines in flight), -timeout (wall-clock budget
+// per engine), -faults, -retries, -trace and -store reach all of them.
+// Sweeps are resilient: SIGINT/SIGTERM cancels the running simulations
+// cleanly (exit 130), a failed or timed-out cell renders as ERR instead
+// of killing the run (exit 1), and with -store every completed cell is
+// persisted so the next invocation (add -resume to also retry failed
+// cells) re-runs only what is missing and reproduces byte-identical
+// tables. Concurrent -store runs over the same directory are serialized
+// by an advisory lock. With -faults, the deterministic perturbations of
+// a fault plan (see internal/fault) are injected into every simulation;
+// -retries re-attempts cells that fail transiently.
 package main
 
 import (
@@ -231,9 +230,10 @@ func main() {
 	// Render every requested experiment. With -j 1 the experiments run
 	// strictly in request order; otherwise they all start at once and
 	// the runner's -j slots bound the engines simulating across them.
-	// Outputs are still emitted in request order. A failing experiment
-	// (panic, stored failure) reports its error and the rest of the
-	// sweep continues.
+	// Outputs are still emitted in request order. A failed cell renders
+	// ERR and an experiment that panics outside its cells reports its
+	// error; either way the rest of the sweep continues and mcbench
+	// exits 1.
 	outputs := make([]string, len(exps))
 	errs := make([]error, len(exps))
 	runOne := func(i int) {
@@ -306,7 +306,7 @@ func main() {
 		}
 		os.Exit(130)
 	}
-	if failed > 0 {
+	if failed > 0 || len(runner.CellErrors()) > 0 {
 		os.Exit(1)
 	}
 }
@@ -339,6 +339,7 @@ func runSweep(ctx context.Context, gridStr, remote, scale string, opts experimen
 	}
 	var results map[string]sweepd.CellResult
 	var sum sweepd.Summary
+	failed := false // an ERR cell was rendered
 	if remote != "" {
 		if storeDir != "" {
 			fatalf("-store belongs to the workers in remote mode (they share the cell cache)")
@@ -375,6 +376,7 @@ func runSweep(ctx context.Context, gridStr, remote, scale string, opts experimen
 		}
 		if sum.Errors > 0 {
 			fmt.Fprintf(os.Stderr, "mcbench: %d cells failed (rendered ERR)\n", sum.Errors)
+			failed = true
 		}
 		if sum.Divergent > 0 {
 			fmt.Fprintf(os.Stderr, "mcbench: WARNING: coordinator observed %d divergent cell fingerprints\n", sum.Divergent)
@@ -401,6 +403,7 @@ func runSweep(ctx context.Context, gridStr, remote, scale string, opts experimen
 		}
 		for _, e := range runner.CellErrors() {
 			fmt.Fprintf(os.Stderr, "mcbench: cell error: %v\n", e)
+			failed = true
 		}
 		sum.Simulated, sum.StoreHits = runner.CellsRun(), runner.StoreHits()
 	}
@@ -411,6 +414,9 @@ func runSweep(ctx context.Context, gridStr, remote, scale string, opts experimen
 	}
 	if remote != "" || storeDir != "" {
 		fmt.Fprintf(os.Stderr, "cells: %d simulated, %d store hits\n", sum.Simulated, sum.StoreHits)
+	}
+	if failed {
+		os.Exit(1)
 	}
 }
 

@@ -112,35 +112,3 @@ func (j Job) Config() (mpi.Config, error) {
 	}
 	return cfg, nil
 }
-
-// Speedup runs body at 1 rank and at each rank count in `ranks`, under
-// the given scheme, and returns time(1)/time(n) for each. The timeKey
-// selects which reported metric is the benchmark time; pass "" to use
-// the job makespan.
-func Speedup(j Job, ranks []int, timeKey string, body func(*mpi.Rank)) ([]float64, error) {
-	base := j
-	base.Ranks = 1
-	baseRes, err := Run(base, body)
-	if err != nil {
-		return nil, err
-	}
-	baseTime := timeOf(baseRes, timeKey)
-	out := make([]float64, len(ranks))
-	for i, n := range ranks {
-		jj := j
-		jj.Ranks = n
-		res, err := Run(jj, body)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = baseTime / timeOf(res, timeKey)
-	}
-	return out, nil
-}
-
-func timeOf(res *mpi.Result, key string) float64 {
-	if key == "" {
-		return res.Time
-	}
-	return res.Max(key)
-}

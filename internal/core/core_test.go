@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"multicore/internal/affinity"
@@ -74,35 +73,6 @@ func TestBufModeOverride(t *testing.T) {
 	}
 	if res.Messages != 1 {
 		t.Fatalf("messages = %d", res.Messages)
-	}
-}
-
-func TestSpeedupHelper(t *testing.T) {
-	sp, err := Speedup(Job{System: "dmz"}, []int{2, 4}, stream.MetricBandwidth,
-		func(r *mpi.Rank) {
-			// Report a fake "time" inversely proportional to ranks so the
-			// helper's arithmetic is easy to verify: time halves per
-			// doubling.
-			r.Report(stream.MetricBandwidth, 1.0/float64(r.Size()))
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sp[0]-2) > 1e-9 || math.Abs(sp[1]-4) > 1e-9 {
-		t.Fatalf("speedups = %v, want [2 4]", sp)
-	}
-}
-
-func TestSpeedupUsesMakespanWithoutKey(t *testing.T) {
-	sp, err := Speedup(Job{System: "dmz"}, []int{2}, "", func(r *mpi.Rank) {
-		// Perfectly parallel compute.
-		r.Compute(1e8/float64(r.Size()), 1)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp[0] < 1.9 || sp[0] > 2.1 {
-		t.Fatalf("makespan speedup = %v, want ~2", sp[0])
 	}
 }
 

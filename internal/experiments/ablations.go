@@ -66,23 +66,25 @@ func runAblateCoherence(r *Runner, s Scale) []*report.Table {
 
 	specs := []func() *machine.Spec{machine.Longs, longsNoCoherence}
 	names := []string{"calibrated", "no-coherence"}
-	triads := parMap(r, len(specs), func(i int) float64 {
-		res := must(r.runJob("ablate-coherence-stream-"+names[i],
-			core.Job{Spec: specs[i](), Ranks: 1, Scheme: affinity.OneMPILocalAlloc}, func(r *mpi.Rank) {
+	triads := parMap(r, len(specs), func(i int) cellValue[float64] {
+		return engineCell(r, s, "ablate-coherence-stream-"+names[i], func(run mpi.RunFunc) float64 {
+			job := core.Job{Spec: specs[i](), Ranks: 1, Scheme: affinity.OneMPILocalAlloc}
+			return run(must(job.Config()), func(r *mpi.Rank) {
 				stream.RunTriad(r, stream.Params{VectorBytes: vec, Iters: 2})
-			}))
-		return res.Max(stream.MetricBandwidth) / units.Giga
+			}).Max(stream.MetricBandwidth) / units.Giga
+		})
 	})
 	base, fixed := triads[0], triads[1]
-	t.AddRow("1-core STREAM GB/s", report.F(base), report.F(fixed), report.F(fixed/base))
+	t.AddRow("1-core STREAM GB/s", cellString(base, report.F), cellString(fixed, report.F), cellString(ratio(fixed, base), report.F))
 
-	cgs := parMap(r, len(specs), func(i int) float64 {
-		res := must(r.runJob("ablate-coherence-cg-"+names[i], core.Job{Spec: specs[i](), Ranks: 8,
-			Scheme: affinity.OneMPILocalAlloc, Impl: mpi.MPICH2()}, must(npb.RunCG(npbClass(s)))))
-		return res.Max(npb.MetricCGTime)
+	cgs := parMap(r, len(specs), func(i int) cellValue[float64] {
+		return engineCell(r, s, "ablate-coherence-cg-"+names[i], func(run mpi.RunFunc) float64 {
+			job := core.Job{Spec: specs[i](), Ranks: 8, Scheme: affinity.OneMPILocalAlloc, Impl: mpi.MPICH2()}
+			return run(must(job.Config()), must(npb.RunCG(npbClass(s)))).Max(npb.MetricCGTime)
+		})
 	})
 	baseCG, fixedCG := cgs[0], cgs[1]
-	t.AddRow("NAS CG 8 ranks (s)", report.Seconds(baseCG), report.Seconds(fixedCG), report.F(baseCG/fixedCG))
+	t.AddRow("NAS CG 8 ranks (s)", cellString(baseCG, report.Seconds), cellString(fixedCG, report.Seconds), cellString(ratio(baseCG, fixedCG), report.F))
 	return []*report.Table{t}
 }
 
@@ -106,23 +108,25 @@ func runAblateTopology(r *Runner, s Scale) []*report.Table {
 
 	specs := []func() *machine.Spec{machine.Longs, longsCrossbar}
 	names := []string{"ladder", "crossbar"}
-	fts := parMap(r, len(specs), func(i int) float64 {
-		res := must(r.runJob("ablate-topology-ft-"+names[i], core.Job{Spec: specs[i](), Ranks: 16, Impl: mpi.MPICH2()},
-			must(npb.RunFT(npb.ClassA))))
-		return res.Max(npb.MetricFTTime)
+	fts := parMap(r, len(specs), func(i int) cellValue[float64] {
+		return engineCell(r, s, "ablate-topology-ft-"+names[i], func(run mpi.RunFunc) float64 {
+			job := core.Job{Spec: specs[i](), Ranks: 16, Impl: mpi.MPICH2()}
+			return run(must(job.Config()), must(npb.RunFT(npb.ClassA))).Max(npb.MetricFTTime)
+		})
 	})
 	ladder, xbar := fts[0], fts[1]
-	t.AddRow("NAS FT 16 ranks (s)", report.Seconds(ladder), report.Seconds(xbar), report.F(ladder/xbar))
+	t.AddRow("NAS FT 16 ranks (s)", cellString(ladder, report.Seconds), cellString(xbar, report.Seconds), cellString(ratio(ladder, xbar), report.F))
 
-	rings := parMap(r, len(specs), func(i int) float64 {
-		spec := specs[i]()
-		b := must(affinity.Layout(affinity.Default, spec.Topo, 16))
-		pt := imb.Ring(r.runFunc("ablate-topology-ring-"+names[i]),
-			mpi.Config{Spec: spec, Impl: mpi.LAM().WithSublayer(mpi.USysV()), Bindings: b}, 8, 30)
-		return pt.Latency / units.Microsecond
+	rings := parMap(r, len(specs), func(i int) cellValue[float64] {
+		return engineCell(r, s, "ablate-topology-ring-"+names[i], func(run mpi.RunFunc) float64 {
+			spec := specs[i]()
+			b := must(affinity.Layout(affinity.Default, spec.Topo, 16))
+			cfg := mpi.Config{Spec: spec, Impl: mpi.LAM().WithSublayer(mpi.USysV()), Bindings: b}
+			return imb.Ring(run, cfg, 8, 30).Latency / units.Microsecond
+		})
 	})
 	lr, xr := rings[0], rings[1]
-	t.AddRow("Ring latency 8 B (us)", report.F(lr), report.F(xr), report.F(lr/xr))
+	t.AddRow("Ring latency 8 B (us)", cellString(lr, report.F), cellString(xr, report.F), cellString(ratio(lr, xr), report.F))
 	return []*report.Table{t}
 }
 
@@ -139,18 +143,17 @@ func runAblateSublayer(r *Runner, s Scale) []*report.Table {
 		}
 		impl := mpi.LAM().WithSublayer(sub)
 		spec := machine.Longs()
-		b := must(affinity.Layout(affinity.Default, spec.Topo, 16))
-		res := must(r.simulate("ablate-sublayer-ra-"+sub.Name, mpi.Config{Spec: spec, Impl: impl, Bindings: b}, func(r *mpi.Rank) {
-			rnda.Run(r, rnda.Params{TableBytes: 32 << 20, Updates: 8e5, MPI: true})
-		}))
-		b2 := []affinity.Binding{
-			{Core: 0, MemPolicy: mem.LocalAlloc},
-			{Core: 2, MemPolicy: mem.LocalAlloc},
-		}
-		pt := imb.PingPong(r.runFunc("ablate-sublayer-pingpong-"+sub.Name), mpi.Config{Spec: spec, Impl: impl, Bindings: b2}, 8, 30)
-		return []string{report.F(lockUS),
-			report.F(res.Mean(rnda.MetricGUPS)),
-			report.F(pt.Latency / units.Microsecond)}
+		gups := engineCell(r, s, "ablate-sublayer-ra-"+sub.Name, func(run mpi.RunFunc) float64 {
+			b := must(affinity.Layout(affinity.Default, spec.Topo, 16))
+			return run(mpi.Config{Spec: spec, Impl: impl, Bindings: b}, func(r *mpi.Rank) {
+				rnda.Run(r, rnda.Params{TableBytes: 32 << 20, Updates: 8e5, MPI: true})
+			}).Mean(rnda.MetricGUPS)
+		})
+		pt := engineCell(r, s, "ablate-sublayer-pingpong-"+sub.Name, func(run mpi.RunFunc) imb.Point {
+			b := []affinity.Binding{{Core: 0, MemPolicy: mem.LocalAlloc}, {Core: 2, MemPolicy: mem.LocalAlloc}}
+			return imb.PingPong(run, mpi.Config{Spec: spec, Impl: impl, Bindings: b}, 8, 30)
+		})
+		return []string{report.F(lockUS), cellString(gups, report.F), cellString(pt, usLatency)}
 	})
 	for _, row := range rows {
 		t.AddRow(row...)
@@ -178,9 +181,9 @@ func runExtHybrid(r *Runner, s Scale) []*report.Table {
 		}
 		cfg := mpi.Config{Spec: spec, Impl: mpi.OpenMPI(), Bindings: b}
 		label := fmt.Sprintf("ext-hybrid-c%d-%d", c.cores[0], c.cores[1])
-		lat := imb.PingPong(r.runFunc(label+"-lat"), cfg, 8, 30)
-		bw := imb.PingPong(r.runFunc(label+"-bw"), cfg, units.MB, 15)
-		return []string{c.name, report.F(lat.Latency / units.Microsecond), report.F(bw.Bandwidth / units.Mega)}
+		lat := engineCell(r, s, label+"-lat", func(run mpi.RunFunc) imb.Point { return imb.PingPong(run, cfg, 8, 30) })
+		bw := engineCell(r, s, label+"-bw", func(run mpi.RunFunc) imb.Point { return imb.PingPong(run, cfg, units.MB, 15) })
+		return []string{c.name, cellString(lat, usLatency), cellString(bw, mbBandwidth)}
 	})
 	for _, row := range rows {
 		t.AddRow(row...)
@@ -215,18 +218,19 @@ func runAblateCollectives(r *Runner, s Scale) []*report.Table {
 		func(r *mpi.Rank, b float64) { r.BcastBinomial(0, b) },
 		func(r *mpi.Rank, b float64) { r.BcastScatterAllgather(0, b) },
 	}
-	times := parMap(r, len(sizes)*len(algos), func(i int) float64 {
+	times := parMap(r, len(sizes)*len(algos), func(i int) cellValue[float64] {
 		bytes, algo := sizes[i/len(algos)], algos[i%len(algos)]
 		label := fmt.Sprintf("ablate-collectives-%s-%g", names[i%len(algos)], bytes)
-		return must(r.simulate(label, mpi.Config{Spec: spec, Impl: mpi.MPICH2(), Bindings: b},
-			func(r *mpi.Rank) { algo(r, bytes) })).Time
+		return engineCell(r, s, label, func(run mpi.RunFunc) float64 {
+			return run(mpi.Config{Spec: spec, Impl: mpi.MPICH2(), Bindings: b}, func(r *mpi.Rank) { algo(r, bytes) }).Time
+		})
 	})
 	for i, bytes := range sizes {
-		t.AddRow(units.Bytes(bytes),
-			report.Seconds(times[i*len(algos)]),
-			report.Seconds(times[i*len(algos)+1]),
-			report.Seconds(times[i*len(algos)+2]),
-			report.Seconds(times[i*len(algos)+3]))
+		row := []string{units.Bytes(bytes)}
+		for _, c := range times[i*len(algos) : (i+1)*len(algos)] {
+			row = append(row, cellString(c, report.Seconds))
+		}
+		t.AddRow(row...)
 	}
 	return []*report.Table{t}
 }

@@ -16,12 +16,16 @@ import (
 )
 
 // renderAll renders an experiment's tables through the given runner to
-// one canonical string.
+// one canonical string. A failed cell fails the test: it would render
+// ERR rather than fail the experiment.
 func renderAll(t *testing.T, r *Runner, e Experiment) string {
 	t.Helper()
 	tabs, err := r.Run(e, Quick)
 	if err != nil {
 		t.Fatalf("%s: %v", e.ID, err)
+	}
+	if errs := r.CellErrors(); len(errs) > 0 {
+		t.Fatalf("%s: failed cells: %v", e.ID, errs)
 	}
 	var b strings.Builder
 	for _, tab := range tabs {

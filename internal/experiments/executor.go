@@ -32,25 +32,23 @@ import (
 // defaults: GOMAXPROCS-wide parallelism, in-memory caching only, no
 // per-cell timeout, no tracing.
 //
-// Every engine an experiment starts runs through Runner.simulate, so
-// Parallelism, CellTimeout, TraceDir and Faults reach all of them. Store,
-// Resume, Retries and a plan's cellerr rules act on cells memoized
-// through runCell (the paper tables, fig2/fig3, numa-stream and sweep
-// grids); the other experiments simulate on every run.
+// Every engine an experiment starts runs in a memoized cell (runCell)
+// through Runner.simulate, so every option reaches all of them.
 type Options struct {
 	// Parallelism bounds the number of engines simulating at once across
 	// everything the runner runs, however many experiments share it;
 	// < 1 means GOMAXPROCS.
 	Parallelism int
-	// Store, when non-nil, persists every memoized cell and serves repeat
-	// runs from disk (mcbench -store).
+	// Store, when non-nil, persists every cell and serves repeat runs
+	// from disk (mcbench -store).
 	Store *store.Store
 	// Resume re-runs cells whose stored status is "error" instead of
 	// reporting the recorded failure (mcbench -resume).
 	Resume bool
 	// CellTimeout bounds each engine's wall-clock simulation time; zero
-	// disables the bound. An engine that exceeds it reports a
-	// *sim.CanceledError instead of stalling the sweep.
+	// disables the bound. An engine that exceeds it fails its cell with a
+	// *sim.CanceledError instead of stalling the sweep: the cell renders
+	// ERR, CellErrors names the timeout, and nothing is persisted.
 	CellTimeout time.Duration
 	// TraceDir, when non-empty, writes one Chrome trace file per engine,
 	// named by its cell label (mcbench -trace).
@@ -81,10 +79,9 @@ type Runner struct {
 	opts  Options       // fixed by NewRunner
 	slots chan struct{} // one per engine in flight; capacity Parallelism
 
-	mu           sync.Mutex // guards cache, traceWritten and errs
-	cache        map[CellKey]*cacheEntry
-	traceWritten map[string]bool
-	errs         []error
+	mu    sync.Mutex      // guards cache and errs
+	cache map[CellKey]any // *cacheEntry[T] of each cell
+	errs  []error
 
 	cellsRun  atomic.Int64
 	storeHits atomic.Int64
@@ -101,23 +98,22 @@ func NewRunner(ctx context.Context, opts Options) *Runner {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	return &Runner{
-		ctx:          ctx,
-		opts:         opts,
-		slots:        make(chan struct{}, opts.Parallelism),
-		cache:        map[CellKey]*cacheEntry{},
-		traceWritten: map[string]bool{},
+		ctx:   ctx,
+		opts:  opts,
+		slots: make(chan struct{}, opts.Parallelism),
+		cache: map[CellKey]any{},
 	}
 }
 
 // Context returns the runner's cancellation context.
 func (r *Runner) Context() context.Context { return r.ctx }
 
-// Run executes one experiment at the given scale. A panic anywhere in
-// the experiment body is captured as an error — one broken artifact must
-// not kill the rest of a sweep. When the runner's context is canceled
-// the partial tables are discarded and the context error is returned, so
-// callers never emit half-computed artifacts; that includes the panic of
-// an engine the cancellation aborted (runFunc).
+// Run executes one experiment at the given scale. A failed cell renders
+// ERR in its table; a panic in the experiment body outside any cell is
+// captured as an error — one broken artifact must not kill the rest of a
+// sweep. When the runner's context is canceled the partial tables are
+// discarded and the context error is returned, so callers never emit
+// half-computed artifacts.
 func (r *Runner) Run(e Experiment, s Scale) (tables []*report.Table, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -143,8 +139,9 @@ func (r *Runner) StoreHits() int { return int(r.storeHits.Load()) }
 
 // CellErrors returns the distinct non-infeasible cell failures recorded
 // so far (bounded; tables render such cells as ERR, this keeps the
-// messages). Cancellation errors are not recorded — they describe the
-// sweep stopping, not a cell failing.
+// messages). Cancellation is not recorded — it describes the sweep
+// stopping, not a cell failing — but an engine that ran past CellTimeout
+// while the sweep went on is.
 func (r *Runner) CellErrors() []error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -155,9 +152,16 @@ func (r *Runner) CellErrors() []error {
 
 const maxRecordedErrs = 32
 
-func (r *Runner) noteErr(err error) {
+// noteErr records a failure of the cell key. A canceled sweep is not a
+// failing cell; a deadline that passed while the sweep went on is the
+// engine exceeding CellTimeout, and is recorded as that.
+func (r *Runner) noteErr(key CellKey, err error) {
 	if IsCanceled(err) {
-		return
+		var ce *sim.CanceledError
+		if r.ctx.Err() != nil || !errors.As(err, &ce) || !errors.Is(ce, context.DeadlineExceeded) {
+			return
+		}
+		err = fmt.Errorf("experiments: cell %s exceeded -timeout %s: %w", key, r.opts.CellTimeout, ce)
 	}
 	r.mu.Lock()
 	if len(r.errs) < maxRecordedErrs {
@@ -197,13 +201,22 @@ func (r *Runner) simulate(label string, cfg mpi.Config, body func(*mpi.Rank)) (*
 }
 
 // runFunc is simulate under label with mpi.Run's signature, for the imb
-// and hpcc drivers: a failed run panics, and Runner.Run reports the panic
-// as the experiment's error, as it does for the other cells that are not
-// memoized (must).
+// and hpcc drivers. A failed run panics with its error, which the cell
+// running the engine records as its own (runIsolated).
 func (r *Runner) runFunc(label string) mpi.RunFunc {
 	return func(cfg mpi.Config, body func(*mpi.Rank)) *mpi.Result {
 		return must(r.simulate(label, cfg, body))
 	}
+}
+
+// engineCell runs one engine as a cell keyed by its label and the scale:
+// fn gets the RunFunc that simulates under label and reduces the run to
+// the cell's value. A label names one simulation, so the key is complete.
+func engineCell[T any](r *Runner, s Scale, label string, fn func(run mpi.RunFunc) T) cellValue[T] {
+	v, err := runCell(r, CellKey{Workload: label, Scale: s}, func() (T, error) {
+		return fn(r.runFunc(label)), nil
+	})
+	return cellValue[T]{v, err}
 }
 
 // must returns v, panicking on err (see runFunc).
@@ -220,10 +233,10 @@ type workerPanic struct{ v any }
 // parMap evaluates fn(0..n-1) on the runner's worker pool and returns
 // the results in index order. With parallelism 1 it degenerates to a
 // plain loop on the calling goroutine. A panicking fn re-panics on the
-// caller (Runner.Run converts that into an experiment error). When the
-// runner's context is canceled workers stop claiming indices — the
-// partial results are discarded by Runner.Run, so the holes are never
-// rendered.
+// caller (Runner.Run converts that into an experiment error; a panic
+// inside a cell never gets this far). When the runner's context is
+// canceled workers stop claiming indices — the partial results are
+// discarded by Runner.Run, so the holes are never rendered.
 func parMap[T any](r *Runner, n int, fn func(i int) T) []T {
 	out := make([]T, n)
 	if n == 0 {
@@ -302,6 +315,9 @@ type CellKey struct {
 }
 
 func (k CellKey) String() string {
+	if k.System == "" { // an engine label (engineCell) names the whole cell
+		return k.Workload + "/" + k.Scale.String()
+	}
 	return fmt.Sprintf("%s/%s/r%d/%s/%s", k.Workload, k.System, k.Ranks, k.Scheme, k.Scale)
 }
 
@@ -326,21 +342,10 @@ func (r *Runner) storeKey(k CellKey) store.Key {
 	return sk
 }
 
-type cacheEntry struct {
+type cacheEntry[T any] struct {
 	once sync.Once
-	val  any
+	val  T
 	err  error
-}
-
-func (r *Runner) entry(key CellKey) *cacheEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.cache[key]
-	if !ok {
-		e = &cacheEntry{}
-		r.cache[key] = e
-	}
-	return e
 }
 
 // runCell memoizes fn by key for the life of the runner, consulting the
@@ -351,90 +356,85 @@ func (r *Runner) entry(key CellKey) *cacheEntry {
 // than unwinding the sweep.
 //
 // T must round-trip through encoding/json unchanged for stored results
-// to reproduce byte-identical tables; float64s and structs of exported
-// float64 fields do.
+// to reproduce byte-identical tables; finite float64s, integers, slices
+// of them and structs of such exported fields do.
 func runCell[T any](r *Runner, key CellKey, fn func() (T, error)) (T, error) {
-	e := r.entry(key)
-	e.once.Do(func() {
-		e.val, e.err = computeCell(r, key, fn)
-	})
-	if e.err != nil {
-		var zero T
-		return zero, e.err
-	}
-	v, ok := e.val.(T)
+	r.mu.Lock()
+	ent, ok := r.cache[key]
 	if !ok {
-		panic(fmt.Sprintf("experiments: cell %+v cached as %T, requested as different type", key, e.val))
+		ent = &cacheEntry[T]{}
+		r.cache[key] = ent
 	}
-	return v, nil
+	r.mu.Unlock()
+	e, ok := ent.(*cacheEntry[T])
+	if !ok {
+		panic(fmt.Sprintf("experiments: cell %s cached as %T, requested as %T", key, ent, e))
+	}
+	e.once.Do(func() { e.val, e.err = computeCell(r, key, fn) })
+	return e.val, e.err
 }
 
-func computeCell[T any](r *Runner, key CellKey, fn func() (T, error)) (any, error) {
+func computeCell[T any](r *Runner, key CellKey, fn func() (T, error)) (v T, err error) {
 	if err := r.ctx.Err(); err != nil {
-		return nil, err
+		return v, err
 	}
 	st := r.opts.Store
-	sk := r.storeKey(key)
 	if st != nil {
-		if v, err, served := loadCell[T](r, st, key, sk); served {
+		if v, err, served := loadCell[T](r, st, key); served {
 			return v, err
 		}
 	}
-	v, err := runWithRetries(r, key, fn)
+	v, err = runWithRetries(r, key, fn)
 	r.cellsRun.Add(1)
 	if err != nil && !isInfeasible(err) {
-		r.noteErr(err)
+		r.noteErr(key, err)
 	}
 	if st != nil {
-		r.persistCell(sk, v, err)
+		r.persistCell(key, v, err)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return v, nil
+	return v, err
 }
 
 // loadCell serves a cell from the persistent store. served=false means
 // a miss (absent, corrupt, or an error entry being retried under
 // -resume) and the caller must simulate.
-func loadCell[T any](r *Runner, st *store.Store, key CellKey, sk store.Key) (any, error, bool) {
-	ent, err := st.Get(sk)
+func loadCell[T any](r *Runner, st *store.Store, key CellKey) (v T, err error, served bool) {
+	ent, err := st.Get(r.storeKey(key))
 	if err != nil {
 		// Schema mismatch or tampered entry: surface it, don't guess.
-		r.noteErr(err)
-		return nil, err, true
+		r.noteErr(key, err)
+		return v, err, true
 	}
 	if ent == nil {
-		return nil, nil, false
+		return v, nil, false
 	}
 	switch ent.Status {
 	case store.StatusOK:
-		var v T
 		if err := json.Unmarshal(ent.Value, &v); err != nil {
-			return nil, nil, false // undecodable value: re-run the cell
+			return v, nil, false // undecodable value: re-run the cell
 		}
 		r.storeHits.Add(1)
 		return v, nil, true
 	case store.StatusInfeasible:
 		r.storeHits.Add(1)
-		return nil, &affinity.ErrInfeasible{Scheme: key.Scheme, Ranks: key.Ranks, System: key.System}, true
+		return v, &affinity.ErrInfeasible{Scheme: key.Scheme, Ranks: key.Ranks, System: key.System}, true
 	case store.StatusError:
 		if r.opts.Resume {
-			return nil, nil, false // -resume retries recorded failures
+			return v, nil, false // -resume retries recorded failures
 		}
 		r.storeHits.Add(1)
 		err := fmt.Errorf("experiments: cell %s failed in an earlier run (re-run with -resume to retry): %s", key, ent.Error)
-		r.noteErr(err)
-		return nil, err, true
+		r.noteErr(key, err)
+		return v, err, true
 	}
-	return nil, nil, false // unknown status: treat as a miss
+	return v, nil, false // unknown status: treat as a miss
 }
 
 // persistCell records a completed cell. Cancellation and timeout
 // outcomes are never persisted — they depend on wall-clock conditions,
 // not on the cell — so the cell re-runs next time.
-func (r *Runner) persistCell(sk store.Key, v any, err error) {
-	st := r.opts.Store
+func (r *Runner) persistCell(key CellKey, v any, err error) {
+	st, sk := r.opts.Store, r.storeKey(key)
 	var perr error
 	switch {
 	case err == nil:
@@ -447,7 +447,7 @@ func (r *Runner) persistCell(sk store.Key, v any, err error) {
 		perr = st.PutError(sk, err.Error())
 	}
 	if perr != nil {
-		r.noteErr(perr)
+		r.noteErr(key, perr)
 	}
 }
 
@@ -464,10 +464,10 @@ func (r *Runner) persistCell(sk store.Key, v any, err error) {
 func runWithRetries[T any](r *Runner, key CellKey, fn func() (T, error)) (T, error) {
 	plan := r.opts.Faults
 	retries, backoff := r.opts.Retries, r.opts.RetryBackoff
-	cell := key.String()
+	var cell string // only a plan draws against the cell's name (and only plans fail transiently)
 	var seed int64
 	if plan != nil {
-		seed = plan.Seed()
+		cell, seed = key.String(), plan.Seed()
 	}
 	var v T
 	var err error
@@ -504,11 +504,17 @@ func runAttempt[T any](r *Runner, key CellKey, plan *fault.Plan, cell string, at
 }
 
 // runIsolated invokes fn, converting a panic into an error so one
-// broken cell renders as ERR instead of killing the sweep.
+// broken cell renders as ERR instead of killing the sweep. A panic that
+// carries an error keeps it in the chain, so a failed runFunc engine is
+// still recognised as canceled or infeasible.
 func runIsolated[T any](key CellKey, fn func() (T, error)) (v T, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("experiments: cell %s panicked: %v", key, p)
+			perr, ok := p.(error)
+			if !ok {
+				perr = fmt.Errorf("%v", p)
+			}
+			err = fmt.Errorf("experiments: cell %s panicked: %w", key, perr)
 		}
 	}()
 	return fn()

@@ -8,8 +8,8 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"multicore/internal/affinity"
@@ -105,17 +105,22 @@ var numactlColumns = []affinity.Scheme{
 }
 
 // cellValue is the outcome of one table cell's simulation.
-type cellValue struct {
-	v   float64
+type cellValue[T any] struct {
+	v   T
 	err error
+}
+
+// ratio is the cell a/b; it fails when either operand failed.
+func ratio(a, b cellValue[float64]) cellValue[float64] {
+	return cellValue[float64]{a.v / b.v, errors.Join(a.err, b.err)}
 }
 
 // cellString renders a cell value in the paper's style: fmt formats a
 // feasible value, infeasible placements show the paper's dash, and any
-// other failure (a panicked cell, a deadlock, a stored error under a
-// non-resume run) renders as ERR — the sweep continues and the message
-// is available via Runner.CellErrors.
-func cellString(c cellValue, format func(float64) string) string {
+// other failure (a panicked cell, a deadlock, a timeout, a stored error
+// under a non-resume run) renders as ERR — the sweep continues and the
+// message is available via Runner.CellErrors.
+func cellString[T any](c cellValue[T], format func(T) string) string {
 	if c.err != nil {
 		if isInfeasible(c.err) {
 			return report.NA
@@ -147,9 +152,9 @@ func numactlTable(r *Runner, title string, sweep []sysRanks, run func(system str
 			}
 		}
 	}
-	vals := parMap(r, len(grid), func(i int) cellValue {
+	vals := parMap(r, len(grid), func(i int) cellValue[float64] {
 		v, err := run(grid[i].system, grid[i].ranks, grid[i].scheme)
-		return cellValue{v, err}
+		return cellValue[float64]{v, err}
 	})
 	for i := 0; i < len(grid); i += len(numactlColumns) {
 		cells := []string{fmt.Sprint(grid[i].ranks), grid[i].system}
@@ -185,32 +190,18 @@ func speedupTable(r *Runner, title string, sweep []sysRanks, labels []string,
 			}
 		}
 	}
-	vals := parMap(r, len(grid), func(i int) cellValue {
+	vals := parMap(r, len(grid), func(i int) cellValue[float64] {
 		v, err := run(grid[i].system, grid[i].ranks, grid[i].which)
-		return cellValue{v, err}
+		return cellValue[float64]{v, err}
 	})
 	i := 0
 	for _, sr := range sweep {
-		base := make([]float64, len(labels))
-		for w := range labels {
-			if vals[i].err != nil {
-				base[w] = math.NaN()
-			} else {
-				base[w] = vals[i].v
-			}
-			i++
-		}
+		base := vals[i : i+len(labels)]
+		i += len(labels)
 		for _, ranks := range sr.Ranks {
 			cells := []string{fmt.Sprint(ranks), sr.System}
 			for w := range labels {
-				c := vals[i]
-				if c.err == nil && math.IsNaN(base[w]) {
-					c = cellValue{err: fmt.Errorf("experiments: %s: no baseline for %s", title, labels[w])}
-				}
-				b := base[w]
-				cells = append(cells, cellString(c, func(v float64) string {
-					return report.F(b / v)
-				}))
+				cells = append(cells, cellString(ratio(base[w], vals[i]), report.F))
 				i++
 			}
 			t.AddRow(cells...)
@@ -219,20 +210,14 @@ func speedupTable(r *Runner, title string, sweep []sysRanks, labels []string,
 	return t
 }
 
-// runJob is the core.Job front for simulate: the job resolves to its
-// mpi.Config through core.Job.Config, exactly as core.RunContext
-// resolves it, and simulates under label.
-func (r *Runner) runJob(label string, job core.Job, body func(*mpi.Rank)) (*mpi.Result, error) {
-	cfg, err := job.Config()
+// runMPICH2 runs body on the paper's NPB/application stack, MPICH2 on the
+// named system under a scheme, labelled by the cell (cellLabel). The job
+// resolves to its mpi.Config through core.Job.Config, exactly as
+// core.RunContext resolves it.
+func (r *Runner) runMPICH2(workload, system string, ranks int, scheme affinity.Scheme, body func(*mpi.Rank)) (*mpi.Result, error) {
+	cfg, err := core.Job{System: system, Ranks: ranks, Scheme: scheme, Impl: mpi.MPICH2()}.Config()
 	if err != nil {
 		return nil, err
 	}
-	return r.simulate(label, cfg, body)
-}
-
-// runMPICH2 runs body on the paper's NPB/application stack, MPICH2 on the
-// named system under a scheme, labelled by the cell (cellLabel).
-func (r *Runner) runMPICH2(workload, system string, ranks int, scheme affinity.Scheme, body func(*mpi.Rank)) (*mpi.Result, error) {
-	return r.runJob(cellLabel(workload, system, ranks, scheme),
-		core.Job{System: system, Ranks: ranks, Scheme: scheme, Impl: mpi.MPICH2()}, body)
+	return r.simulate(cellLabel(workload, system, ranks, scheme), cfg, body)
 }

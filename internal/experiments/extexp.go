@@ -42,26 +42,31 @@ func runExtLatency(r *Runner, s Scale) []*report.Table {
 		{"longs", affinity.OneMPILocalAlloc},
 		{"longs", affinity.OneMPIMembind},
 	}
-	curves := parMap(r, len(cfgs), func(i int) []lmbench.Point {
+	var sizes []float64
+	for size := 4.0 * 1024; size <= 64*1024*1024; size *= 4 {
+		sizes = append(sizes, size)
+	}
+	// A curve is the load latency at each working-set size, in seconds.
+	curves := parMap(r, len(cfgs), func(i int) cellValue[[]float64] {
 		c := cfgs[i]
-		res := must(r.runJob(fmt.Sprintf("ext-latency-%s-%s", c.system, c.scheme),
-			core.Job{System: c.system, Ranks: 1, Scheme: c.scheme}, func(r *mpi.Rank) {
-				pts := lmbench.Run(r, lmbench.Params{})
-				for _, p := range pts {
+		return engineCell(r, s, fmt.Sprintf("ext-latency-%s-%s", c.system, c.scheme), func(run mpi.RunFunc) []float64 {
+			job := core.Job{System: c.system, Ranks: 1, Scheme: c.scheme}
+			res := run(must(job.Config()), func(r *mpi.Rank) {
+				for _, p := range lmbench.Run(r, lmbench.Params{}) {
 					r.Report(fmt.Sprintf("%s%.0f", lmbench.MetricPrefix, p.WorkingSetBytes), p.LatencySeconds)
 				}
-			}))
-		var pts []lmbench.Point
-		for size := 4.0 * 1024; size <= 64*1024*1024; size *= 4 {
-			key := fmt.Sprintf("%s%.0f", lmbench.MetricPrefix, size)
-			pts = append(pts, lmbench.Point{WorkingSetBytes: size, LatencySeconds: res.Max(key)})
-		}
-		return pts
+			})
+			curve := make([]float64, len(sizes))
+			for j, size := range sizes {
+				curve[j] = res.Max(fmt.Sprintf("%s%.0f", lmbench.MetricPrefix, size))
+			}
+			return curve
+		})
 	})
-	for i, p := range curves[1] {
-		row := []string{units.Bytes(p.WorkingSetBytes)}
+	for i, size := range sizes {
+		row := []string{units.Bytes(size)}
 		for _, curve := range curves {
-			row = append(row, report.F(curve[i].LatencySeconds/units.Nanosecond))
+			row = append(row, cellString(curve, func(lat []float64) string { return report.F(lat[i] / units.Nanosecond) }))
 		}
 		t.AddRow(row...)
 	}
@@ -87,11 +92,11 @@ func runExtOpenMP(r *Runner, s Scale) []*report.Table {
 	}
 	rows := parMap(r, len(cases), func(i int) []string {
 		c := cases[i]
-		res := must(r.runJob(fmt.Sprintf("ext-openmp-r%dx%d-%s", c.ranks, c.threads, c.scheme),
-			core.Job{System: "longs", Ranks: c.ranks, Scheme: c.scheme, Impl: mpi.MPICH2()},
-			must(npb.RunFTHybrid(class, c.threads))))
-		return []string{c.name, fmt.Sprintf("%dx%d", c.ranks, c.threads),
-			report.Seconds(res.Max(npb.MetricFTTime))}
+		ft := engineCell(r, s, fmt.Sprintf("ext-openmp-r%dx%d-%s", c.ranks, c.threads, c.scheme), func(run mpi.RunFunc) float64 {
+			job := core.Job{System: "longs", Ranks: c.ranks, Scheme: c.scheme, Impl: mpi.MPICH2()}
+			return run(must(job.Config()), must(npb.RunFTHybrid(class, c.threads))).Max(npb.MetricFTTime)
+		})
+		return []string{c.name, fmt.Sprintf("%dx%d", c.ranks, c.threads), cellString(ft, report.Seconds)}
 	})
 	for _, row := range rows {
 		t.AddRow(row...)
@@ -113,28 +118,22 @@ func runAblateMigration(r *Runner, s Scale) []*report.Table {
 	t := report.New("Migration-period sweep: LAMMPS chain (cache-friendly) vs LJ (streaming), 8 ranks on Longs",
 		"Migration period", "Chain time (s)", "LJ time (s)")
 	spec := machine.Longs()
-	timeFor := func(bench lammps.Benchmark, period float64) float64 {
-		b := must(affinity.Layout(affinity.TwoMPILocalAlloc, spec.Topo, 8))
-		cfg := mpi.Config{Spec: spec, Impl: mpi.MPICH2(), Bindings: b,
-			OSMigrationPeriod: period}
-		res := must(r.simulate(fmt.Sprintf("ablate-migration-%s-%g", bench, period), cfg, func(r *mpi.Rank) {
-			lammps.Run(r, lammps.Params{Bench: bench, Steps: 20})
-		}))
-		return res.Max(lammps.MetricTime)
-	}
 	periods := []float64{0, 10e-3, 1e-3, 100e-6}
 	benches := []lammps.Benchmark{lammps.Chain, lammps.LJ}
-	times := parMap(r, len(periods)*len(benches), func(i int) float64 {
-		return timeFor(benches[i%len(benches)], periods[i/len(benches)])
+	times := parMap(r, len(periods)*len(benches), func(i int) cellValue[float64] {
+		bench, period := benches[i%len(benches)], periods[i/len(benches)]
+		return engineCell(r, s, fmt.Sprintf("ablate-migration-%s-%g", bench, period), func(run mpi.RunFunc) float64 {
+			b := must(affinity.Layout(affinity.TwoMPILocalAlloc, spec.Topo, 8))
+			cfg := mpi.Config{Spec: spec, Impl: mpi.MPICH2(), Bindings: b, OSMigrationPeriod: period}
+			return run(cfg, func(r *mpi.Rank) { lammps.Run(r, lammps.Params{Bench: bench, Steps: 20}) }).Max(lammps.MetricTime)
+		})
 	})
 	for i, p := range periods {
 		label := "off"
 		if p > 0 {
 			label = units.Duration(p)
 		}
-		t.AddRow(label,
-			report.Seconds(times[i*len(benches)]),
-			report.Seconds(times[i*len(benches)+1]))
+		t.AddRow(label, cellString(times[i*len(benches)], report.Seconds), cellString(times[i*len(benches)+1], report.Seconds))
 	}
 	return []*report.Table{t}
 }
@@ -167,36 +166,18 @@ func runExtNPB(r *Runner, s Scale) []*report.Table {
 		{8, affinity.OneMPILocalAlloc},
 		{8, affinity.OneMPIMembind},
 	}
-	times := parMap(r, len(kernels)*len(cells), func(i int) float64 {
+	times := parMap(r, len(kernels)*len(cells), func(i int) cellValue[float64] {
 		k, c := kernels[i/len(cells)], cells[i%len(cells)]
-		var (
-			body func(*mpi.Rank)
-			key  string
-			err  error
-		)
-		if k == "ep" {
-			body, err = npb.RunEP(class)
-			key = npb.MetricEPTime
-		} else {
-			body, err = npb.RunMG(class)
-			key = npb.MetricMGTime
-		}
-		if err != nil {
-			panic(err)
-		}
-		res, err := r.runMPICH2("npb-"+k+"-"+string(class), "longs", c.ranks, c.scheme, body)
-		if err != nil {
-			panic(err)
-		}
-		return res.Max(key)
+		v, err := npbTime(r, k, class, "longs", c.ranks, c.scheme, s)
+		return cellValue[float64]{v, err}
 	})
 	for i, k := range kernels {
 		row := times[i*len(cells) : (i+1)*len(cells)]
 		t1, def8, def16, local8, membind8 := row[0], row[1], row[2], row[3], row[4]
 		t.AddRow(k,
-			report.F(t1/def8),
-			report.F(t1/def16),
-			report.F(membind8/local8))
+			cellString(ratio(t1, def8), report.F),
+			cellString(ratio(t1, def16), report.F),
+			cellString(ratio(membind8, local8), report.F))
 	}
 	return []*report.Table{t}
 }
@@ -236,10 +217,11 @@ func runExtCluster(r *Runner, s Scale) []*report.Table {
 	}
 	rows := parMap(r, len(cases), func(i int) []string {
 		c := cases[i]
-		res := must(r.runJob("ext-cluster-"+c.name, core.Job{System: "dmz", Ranks: 4,
-			Scheme: affinity.TwoMPILocalAlloc, Impl: mpi.MPICH2(),
-			Nodes: c.nodes, Net: c.net}, body))
-		return []string{c.name, fmt.Sprint(4 * max(1, c.nodes)), report.Seconds(res.Max(npb.MetricCGTime))}
+		cg := engineCell(r, s, "ext-cluster-"+c.name, func(run mpi.RunFunc) float64 {
+			job := core.Job{System: "dmz", Ranks: 4, Scheme: affinity.TwoMPILocalAlloc, Impl: mpi.MPICH2(), Nodes: c.nodes, Net: c.net}
+			return run(must(job.Config()), body).Max(npb.MetricCGTime)
+		})
+		return []string{c.name, fmt.Sprint(4 * max(1, c.nodes)), cellString(cg, report.Seconds)}
 	})
 	for _, row := range rows {
 		t.AddRow(row...)

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"strings"
+
 	"multicore/internal/hpcc"
+	"multicore/internal/kernels/imb"
 	"multicore/internal/machine"
+	"multicore/internal/mpi"
 	"multicore/internal/report"
 	"multicore/internal/units"
 )
@@ -58,14 +62,17 @@ func runFig8(r *Runner, s Scale) []*report.Table {
 		"System", "Option", "GFlop/s")
 	longs := machine.Longs()
 	opts := hpcc.LongsOptions()
+	hpl := func(system string, spec *machine.Spec, opt hpcc.RuntimeOption, n int) []string {
+		gflops := engineCell(r, s, "fig8-hpl-"+strings.ToLower(system)+"-"+opt.Name, func(run mpi.RunFunc) float64 {
+			return hpcc.HPL(run, spec, opt, n)
+		})
+		return []string{system, opt.Name, cellString(gflops, report.F)}
+	}
 	rows := parMap(r, len(opts)+1, func(i int) []string {
 		if i == len(opts) {
-			dmz := hpcc.DMZOption()
-			return []string{"DMZ", dmz.Name,
-				report.F(hpcc.HPL(r.runFunc("fig8-hpl-dmz-"+dmz.Name), machine.DMZ(), dmz, hplN(s)/2))}
+			return hpl("DMZ", machine.DMZ(), hpcc.DMZOption(), hplN(s)/2)
 		}
-		return []string{"Longs", opts[i].Name,
-			report.F(hpcc.HPL(r.runFunc("fig8-hpl-longs-"+opts[i].Name), longs, opts[i], hplN(s)))}
+		return hpl("Longs", longs, opts[i], hplN(s))
 	})
 	for _, row := range rows {
 		t.AddRow(row...)
@@ -86,11 +93,14 @@ func runFig9(r *Runner, s Scale) []*report.Table {
 	opts := hpcc.LongsOptions()
 	rows := parMap(r, len(opts), func(i int) []string {
 		opt := opts[i]
+		gflops := func(kind string, drive func(run mpi.RunFunc) float64) string {
+			return cellString(engineCell(r, s, "fig9-"+kind+"-"+opt.Name, drive), report.F)
+		}
 		return []string{opt.Name,
-			report.F(hpcc.DGEMM(r.runFunc("fig9-dgemm-single-"+opt.Name), longs, opt, false, n)),
-			report.F(hpcc.DGEMM(r.runFunc("fig9-dgemm-star-"+opt.Name), longs, opt, true, n)),
-			report.F(hpcc.FFT(r.runFunc("fig9-fft-single-"+opt.Name), longs, opt, false, fftN)),
-			report.F(hpcc.FFT(r.runFunc("fig9-fft-star-"+opt.Name), longs, opt, true, fftN))}
+			gflops("dgemm-single", func(run mpi.RunFunc) float64 { return hpcc.DGEMM(run, longs, opt, false, n) }),
+			gflops("dgemm-star", func(run mpi.RunFunc) float64 { return hpcc.DGEMM(run, longs, opt, true, n) }),
+			gflops("fft-single", func(run mpi.RunFunc) float64 { return hpcc.FFT(run, longs, opt, false, fftN) }),
+			gflops("fft-star", func(run mpi.RunFunc) float64 { return hpcc.FFT(run, longs, opt, true, fftN) })}
 	})
 	for _, row := range rows {
 		t.AddRow(row...)
@@ -105,9 +115,9 @@ func runFig10(r *Runner, s Scale) []*report.Table {
 	opts := hpcc.LongsOptions()
 	rows := parMap(r, len(opts), func(i int) []string {
 		opt := opts[i]
-		single := hpcc.STREAM(r.runFunc("fig10-single-"+opt.Name), longs, opt, false)
-		star := hpcc.STREAM(r.runFunc("fig10-star-"+opt.Name), longs, opt, true)
-		return []string{opt.Name, report.F(single), report.F(star), report.F(single / star)}
+		single := engineCell(r, s, "fig10-single-"+opt.Name, func(run mpi.RunFunc) float64 { return hpcc.STREAM(run, longs, opt, false) })
+		star := engineCell(r, s, "fig10-star-"+opt.Name, func(run mpi.RunFunc) float64 { return hpcc.STREAM(run, longs, opt, true) })
+		return []string{opt.Name, cellString(single, report.F), cellString(star, report.F), cellString(ratio(single, star), report.F)}
 	})
 	for _, row := range rows {
 		t.AddRow(row...)
@@ -122,10 +132,12 @@ func runFig11(r *Runner, s Scale) []*report.Table {
 	opts := hpcc.LongsOptions()
 	rows := parMap(r, len(opts), func(i int) []string {
 		opt := opts[i]
-		single := hpcc.RandomAccess(r.runFunc("fig11-single-"+opt.Name), longs, opt, hpcc.RASingle)
-		star := hpcc.RandomAccess(r.runFunc("fig11-star-"+opt.Name), longs, opt, hpcc.RAStar)
-		mpiRA := hpcc.RandomAccess(r.runFunc("fig11-mpi-"+opt.Name), longs, opt, hpcc.RAMPI)
-		return []string{opt.Name, report.F(single), report.F(star), report.F(mpiRA), report.F(single / star)}
+		gups := func(kind string, mode hpcc.RAMode) cellValue[float64] {
+			return engineCell(r, s, "fig11-"+kind+"-"+opt.Name, func(run mpi.RunFunc) float64 { return hpcc.RandomAccess(run, longs, opt, mode) })
+		}
+		single, star, mpiRA := gups("single", hpcc.RASingle), gups("star", hpcc.RAStar), gups("mpi", hpcc.RAMPI)
+		return []string{opt.Name, cellString(single, report.F), cellString(star, report.F),
+			cellString(mpiRA, report.F), cellString(ratio(single, star), report.F)}
 	})
 	for _, row := range rows {
 		t.AddRow(row...)
@@ -145,12 +157,10 @@ func runFig12(r *Runner, s Scale) []*report.Table {
 	opts := hpcc.LongsOptions()
 	rows := parMap(r, len(opts), func(i int) []string {
 		opt := opts[i]
-		pp := hpcc.PingPong(r.runFunc("fig12-pingpong-"+opt.Name), longs, opt, msg)
-		ring := hpcc.Ring(r.runFunc("fig12-ring-"+opt.Name), longs, opt, msg)
-		return []string{opt.Name,
-			report.F(hpcc.PTRANS(r.runFunc("fig12-ptrans-"+opt.Name), longs, opt, n)),
-			report.F(pp.Bandwidth / units.Mega),
-			report.F(ring.Bandwidth / units.Mega)}
+		pp := engineCell(r, s, "fig12-pingpong-"+opt.Name, func(run mpi.RunFunc) imb.Point { return hpcc.PingPong(run, longs, opt, msg) })
+		ring := engineCell(r, s, "fig12-ring-"+opt.Name, func(run mpi.RunFunc) imb.Point { return hpcc.Ring(run, longs, opt, msg) })
+		ptrans := engineCell(r, s, "fig12-ptrans-"+opt.Name, func(run mpi.RunFunc) float64 { return hpcc.PTRANS(run, longs, opt, n) })
+		return []string{opt.Name, cellString(ptrans, report.F), cellString(pp, mbBandwidth), cellString(ring, mbBandwidth)}
 	})
 	for _, row := range rows {
 		t.AddRow(row...)
@@ -165,11 +175,9 @@ func runFig13(r *Runner, s Scale) []*report.Table {
 	opts := hpcc.LongsOptions()
 	rows := parMap(r, len(opts), func(i int) []string {
 		opt := opts[i]
-		pp := hpcc.PingPong(r.runFunc("fig13-pingpong-"+opt.Name), longs, opt, 8)
-		ring := hpcc.Ring(r.runFunc("fig13-ring-"+opt.Name), longs, opt, 8)
-		return []string{opt.Name,
-			report.F(pp.Latency / units.Microsecond),
-			report.F(ring.Latency / units.Microsecond)}
+		pp := engineCell(r, s, "fig13-pingpong-"+opt.Name, func(run mpi.RunFunc) imb.Point { return hpcc.PingPong(run, longs, opt, 8) })
+		ring := engineCell(r, s, "fig13-ring-"+opt.Name, func(run mpi.RunFunc) imb.Point { return hpcc.Ring(run, longs, opt, 8) })
+		return []string{opt.Name, cellString(pp, usLatency), cellString(ring, usLatency)}
 	})
 	for _, row := range rows {
 		t.AddRow(row...)

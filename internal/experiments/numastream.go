@@ -121,10 +121,10 @@ func numaStreamDistanceTable(r *Runner, vec float64) *report.Table {
 			}
 		}
 	}
-	vals := parMap(r, len(grid), func(i int) cellValue {
+	vals := parMap(r, len(grid), func(i int) cellValue[float64] {
 		p := grid[i]
 		v, err := numaStreamBW(r, p.sys, p.core, p.node, vec)
-		return cellValue{v, err}
+		return cellValue[float64]{v, err}
 	})
 	for i, p := range grid {
 		t.AddRow(p.sys.label, classLabel(p.sys.spec.Topo, p.core),
@@ -170,10 +170,10 @@ func numaStreamSchemeTable(r *Runner, vec float64) *report.Table {
 	t := report.New("Aggregate STREAM triad by placement scheme, one rank per socket (GB/s)",
 		"System", "Ranks", "Default", "Local Alloc", "Membind", "Interleave")
 	systems := numaStreamSystems()
-	vals := parMap(r, len(systems)*len(numaStreamSchemes), func(i int) cellValue {
+	vals := parMap(r, len(systems)*len(numaStreamSchemes), func(i int) cellValue[float64] {
 		sys, scheme := systems[i/len(numaStreamSchemes)], numaStreamSchemes[i%len(numaStreamSchemes)]
 		v, err := numaStreamAggregate(r, sys, scheme, vec)
-		return cellValue{v, err}
+		return cellValue[float64]{v, err}
 	})
 	for i, sys := range systems {
 		row := []string{sys.label, fmt.Sprint(sys.spec.Topo.NumSockets)}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"multicore/internal/affinity"
 	"multicore/internal/machine"
@@ -210,7 +211,7 @@ func TestStoreInfeasibleRoundTrip(t *testing.T) {
 	if !isInfeasible(err) {
 		t.Fatalf("stored infeasible came back as %v", err)
 	}
-	if cellString(cellValue{err: err}, report.Seconds) != report.NA {
+	if cellString(cellValue[float64]{err: err}, report.Seconds) != report.NA {
 		t.Fatal("stored infeasible does not render as the paper's dash")
 	}
 }
@@ -311,6 +312,147 @@ func TestCanceledCellNotPersisted(t *testing.T) {
 	}
 	if n, _ := st.Len(); n != 1 {
 		t.Fatalf("store has %d entries, want 1", n)
+	}
+}
+
+// TestCellTimeoutRendersERR: an engine that runs past CellTimeout fails
+// its cell alike in every experiment — a memoized NAS table and an HPCC
+// figure both still render, with ERR cells; CellErrors names the
+// timeout; and no timed-out cell is persisted (the store keeps only the
+// infeasible dashes, which need no engine).
+func TestCellTimeoutRendersERR(t *testing.T) {
+	st := openStore(t)
+	r := NewRunner(nil, Options{CellTimeout: time.Nanosecond, Store: st})
+	for _, id := range []string{"table3", "fig8"} {
+		e, ok := ByID(id)
+		if !ok {
+			t.Fatalf("no experiment %s", id)
+		}
+		tabs, err := r.Run(e, Quick)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		var errCells int
+		for _, tab := range tabs {
+			for i := 0; i < tab.NumRows(); i++ {
+				for j := 0; j < tab.NumCols(); j++ {
+					if tab.Cell(i, j) == report.Err {
+						errCells++
+					}
+				}
+			}
+		}
+		if errCells == 0 {
+			t.Errorf("%s: no ERR cell under a 1ns timeout", id)
+		}
+	}
+	errs := r.CellErrors()
+	if len(errs) == 0 {
+		t.Fatal("timeouts not recorded in CellErrors")
+	}
+	for _, err := range errs {
+		if !strings.Contains(err.Error(), "exceeded -timeout 1ns") || !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("cell error %q does not name the timeout", err)
+		}
+	}
+	entries, err := st.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range entries {
+		if ent.Status != store.StatusInfeasible {
+			t.Errorf("timed-out run persisted %s as %s", ent.Key.Workload, ent.Status)
+		}
+	}
+}
+
+// TestCanceledEngineCellNotPersisted: an engine that cancellation aborts
+// inside a label-keyed cell panics out of runFunc; the cell keeps the
+// cancellation in its error chain, so it is neither recorded nor stored.
+// The same holds for a runner canceled in the middle of a real
+// experiment (fig14).
+func TestCanceledEngineCellNotPersisted(t *testing.T) {
+	st := openStore(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	r := NewRunner(ctx, Options{Store: st})
+	cfg := mpi.Config{Spec: machine.DMZ(), Bindings: []affinity.Binding{{Core: 0}}}
+	c := engineCell(r, Quick, "synthetic-abort", func(run mpi.RunFunc) float64 {
+		cancel()
+		return run(cfg, func(rk *mpi.Rank) {
+			for i := 0; i < 10000; i++ { // more events than the engine runs between context checks
+				rk.Compute(1e3, 1)
+			}
+		}).Time
+	})
+	if !IsCanceled(c.err) {
+		t.Fatalf("aborted engine cell: %v, want a cancellation", c.err)
+	}
+	if n, _ := st.Len(); n != 0 || len(r.CellErrors()) != 0 {
+		t.Fatalf("aborted cell stored (%d entries) or recorded (%v)", n, r.CellErrors())
+	}
+
+	e, ok := ByID("fig14")
+	if !ok {
+		t.Fatal("no experiment fig14")
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	r = NewRunner(ctx, Options{Store: st, Parallelism: 2})
+	done := make(chan error)
+	go func() {
+		_, err := r.Run(e, Quick)
+		done <- err
+	}()
+	for stored := 0; stored == 0; stored, _ = st.Len() {
+		time.Sleep(50 * time.Microsecond)
+	}
+	cancel() // the other worker is most likely mid-engine
+	if err := <-done; err != nil && !errors.Is(err, context.Canceled) { // nil: fig14 finished first
+		t.Fatalf("canceled fig14: %v, want context.Canceled", err)
+	}
+	entries, err := st.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range entries {
+		if ent.Status != store.StatusOK {
+			t.Errorf("canceled fig14 stored %s as %s: %s", ent.Key.Workload, ent.Status, ent.Error)
+		}
+	}
+	if len(r.CellErrors()) != 0 {
+		t.Errorf("cancellation recorded as cell errors: %v", r.CellErrors())
+	}
+}
+
+// TestStoreRoundTripAllExperiments: every experiment's cells persist. A
+// fresh runner over the store of a full sweep starts no engine and
+// renders every artifact byte-identically.
+func TestStoreRoundTripAllExperiments(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	st := openStore(t)
+	r1 := NewRunner(nil, Options{Store: st})
+	first := map[string]string{}
+	for _, e := range All() {
+		first[e.ID] = renderAll(t, r1, e)
+	}
+	r2 := NewRunner(nil, Options{Store: st})
+	activity := func() [4]uint64 {
+		ev, fl, se, sp := sim.Activity()
+		return [4]uint64{ev, fl, se, sp}
+	}
+	before := activity()
+	for _, e := range All() {
+		if got := renderAll(t, r2, e); got != first[e.ID] {
+			t.Errorf("%s: stored tables differ from simulated ones:\nfirst:\n%s\nsecond:\n%s", e.ID, first[e.ID], got)
+		}
+	}
+	if n := r2.CellsRun(); n != 0 {
+		t.Errorf("second pass simulated %d cells, want 0 (all served from the store)", n)
+	}
+	if after := activity(); after != before {
+		t.Errorf("second pass started engines: activity (events, flows, settles, spawns) %v -> %v", before, after)
 	}
 }
 

@@ -40,6 +40,15 @@ func ringHaloBody(steps int, bytes float64) func(*mpi.Rank) {
 	}
 }
 
+// scaleRun is one ext-scale cell: the makespan and the engine activity
+// behind it. The fields are exported so the cell round-trips the
+// persistent store.
+type scaleRun struct {
+	Time           float64
+	Msgs           int
+	Events, Spawns uint64
+}
+
 func runExtScale(r *Runner, s Scale) []*report.Table {
 	const (
 		ranksPerNode = 16 // one rank per Longs core
@@ -52,30 +61,22 @@ func runExtScale(r *Runner, s Scale) []*report.Table {
 	}
 	t := report.New("Ring halo on Longs nodes (16 ranks/node, RapidArray)",
 		"Total ranks", "Nodes", "Makespan (s)", "Messages", "Engine events", "Procs spawned")
-	type cell struct {
-		time   float64
-		msgs   int
-		events uint64
-		spawns uint64
-	}
-	cells := parMap(r, len(nodeCounts), func(i int) cell {
+	cells := parMap(r, len(nodeCounts), func(i int) cellValue[scaleRun] {
 		nodes := nodeCounts[i]
-		res := must(r.runJob(fmt.Sprintf("ext-scale-n%d", nodes), core.Job{
-			System: "longs",
-			Ranks:  ranksPerNode,
-			Scheme: affinity.Default,
-			Impl:   mpi.MPICH2(),
-			Nodes:  nodes,
-			Net:    mpi.RapidArray(),
-		}, ringHaloBody(steps, haloBytes)))
-		return cell{time: res.Time, msgs: res.Messages,
-			events: res.Stats.Events, spawns: res.Stats.Spawns}
+		return engineCell(r, s, fmt.Sprintf("ext-scale-n%d", nodes), func(run mpi.RunFunc) scaleRun {
+			job := core.Job{System: "longs", Ranks: ranksPerNode, Scheme: affinity.Default,
+				Impl: mpi.MPICH2(), Nodes: nodes, Net: mpi.RapidArray()}
+			res := run(must(job.Config()), ringHaloBody(steps, haloBytes))
+			return scaleRun{res.Time, res.Messages, res.Stats.Events, res.Stats.Spawns}
+		})
 	})
 	for i, nodes := range nodeCounts {
 		c := cells[i]
 		t.AddRow(fmt.Sprint(ranksPerNode*nodes), fmt.Sprint(nodes),
-			report.Seconds(c.time), fmt.Sprint(c.msgs),
-			fmt.Sprint(c.events), fmt.Sprint(c.spawns))
+			cellString(c, func(c scaleRun) string { return report.Seconds(c.Time) }),
+			cellString(c, func(c scaleRun) string { return fmt.Sprint(c.Msgs) }),
+			cellString(c, func(c scaleRun) string { return fmt.Sprint(c.Events) }),
+			cellString(c, func(c scaleRun) string { return fmt.Sprint(c.Spawns) }))
 	}
 	return []*report.Table{t}
 }

@@ -15,11 +15,11 @@ import (
 // Runner.simulate) records a sim.Trace and writes it to
 // <dir>/<label>.trace.json. A label names its cell: cellLabel where the
 // cell is a workload on a system, ranks and scheme, else the experiment
-// id and the engine's parameters. Each engine is private to its cell, so
-// trace content depends only on the cell's configuration; files are
-// byte-identical however many pool workers run (the determinism
-// regression covers this). Tracing is disabled by default and costs a
-// label and a mutex probe per engine when off.
+// id and the engine's parameters. Each engine is private to its cell and
+// a runner simulates each cell once, so artifacts sharing a cell produce
+// one file, and trace content depends only on the cell's configuration;
+// files are byte-identical however many pool workers run (the
+// determinism regression covers this). Tracing is disabled by default.
 
 // cellLabel names one simulated cell for trace files.
 func cellLabel(workload, system string, ranks int, scheme affinity.Scheme) string {
@@ -27,16 +27,11 @@ func cellLabel(workload, system string, ranks int, scheme affinity.Scheme) strin
 }
 
 // traceCell returns a trace sink for the labelled cell and a callback
-// that writes its file; both are nil when tracing is disabled or the
-// cell has already been captured (artifacts sharing cells produce one
-// file, like the result cache produces one simulation).
+// that writes its file; both are nil when tracing is disabled.
 func (r *Runner) traceCell(label string) (*sim.Trace, func()) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.opts.TraceDir == "" || r.traceWritten[label] {
+	if r.opts.TraceDir == "" {
 		return nil, nil
 	}
-	r.traceWritten[label] = true
 	path := filepath.Join(r.opts.TraceDir, sanitizeLabel(label)+".trace.json")
 	tr := &sim.Trace{}
 	return tr, func() {

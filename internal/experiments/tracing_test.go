@@ -3,7 +3,12 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"multicore/internal/affinity"
+	"multicore/internal/machine"
+	"multicore/internal/mpi"
 )
 
 // captureTraces renders the experiment on a fresh runner with per-cell
@@ -60,27 +65,36 @@ func TestTraceFilesSerialParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestTraceCellDedup checks that a label is captured once per runner:
-// artifacts sharing a cell produce a single file, mirroring the result
-// cache. A runner without a trace directory captures nothing.
+// TestTraceCellDedup checks that a cell is traced once per runner:
+// artifacts sharing a cell run it once, so they produce a single file.
+// A runner without a trace directory captures nothing.
 func TestTraceCellDedup(t *testing.T) {
 	dir := t.TempDir()
 	r := NewRunner(nil, Options{TraceDir: dir})
-	tr, flush := r.traceCell("cell-a")
-	if tr == nil || flush == nil {
-		t.Fatal("first capture refused")
+	cfg := mpi.Config{Spec: machine.DMZ(), Bindings: []affinity.Binding{{Core: 0}}}
+	for _, label := range []string{"cell-a", "cell-a", "cell b/with:odd chars"} {
+		c := engineCell(r, Quick, label, func(run mpi.RunFunc) float64 {
+			return run(cfg, func(rk *mpi.Rank) { rk.Compute(1e6, 1) }).Time
+		})
+		if c.err != nil {
+			t.Fatal(c.err)
+		}
 	}
-	if tr2, _ := r.traceCell("cell-a"); tr2 != nil {
-		t.Fatal("duplicate label captured twice")
+	if r.CellsRun() != 2 {
+		t.Fatalf("CellsRun = %d, want 2 (the repeated label is one cell)", r.CellsRun())
 	}
-	if tr3, _ := r.traceCell("cell b/with:odd chars"); tr3 == nil {
-		t.Fatal("distinct label refused")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	flush()
-	if _, err := os.Stat(filepath.Join(dir, "cell-a.trace.json")); err != nil {
-		t.Fatalf("trace file not written: %v", err)
+	var names []string
+	for _, ent := range entries {
+		names = append(names, ent.Name())
 	}
-	if tr4, _ := NewRunner(nil, Options{}).traceCell("cell-c"); tr4 != nil {
+	if want := []string{"cell-a.trace.json", "cell_b_with_odd_chars.trace.json"}; !slices.Equal(names, want) {
+		t.Fatalf("trace files %v, want %v", names, want)
+	}
+	if tr, _ := NewRunner(nil, Options{}).traceCell("cell-c"); tr != nil {
 		t.Fatal("tracing disabled but capture granted")
 	}
 }

@@ -144,6 +144,17 @@ func RegisterSpec(s *Spec) (string, error) {
 	return id, err
 }
 
+// SpecJSONID returns the content-hash id RegisterSpecJSON would register
+// data under, registering nothing.
+func SpecJSONID(data []byte) (string, error) {
+	j, s, err := decodeSpec(data)
+	if err != nil {
+		return "", err
+	}
+	id, _, err := canonicalID(j, s)
+	return id, err
+}
+
 // RegisterSpecJSON parses a spec file's bytes (schema 1 or 2) and
 // registers the machine, returning its content-hash id and the spec.
 // The registered spec is the decoded canonical form, so a machine

@@ -43,9 +43,6 @@ type CoordinatorOptions struct {
 	// SyncEvery batches journal fsyncs: one per this many records
 	// (the janitor also syncs every tick). Default 64.
 	SyncEvery int
-	// SnapshotEvery compacts the journal into a snapshot after this many
-	// records. Default 4096.
-	SnapshotEvery int
 
 	// MaxInflightPerClient caps one client's outstanding (not yet
 	// finalized) simulated cells across its live sweeps; a submission
@@ -86,9 +83,6 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	}
 	if o.SyncEvery <= 0 {
 		o.SyncEvery = 64
-	}
-	if o.SnapshotEvery <= 0 {
-		o.SnapshotEvery = 4096
 	}
 	if o.RetryAfter <= 0 {
 		o.RetryAfter = 5 * time.Second
@@ -395,9 +389,13 @@ func (c *Coordinator) restore(snapshot []byte, records [][]byte) error {
 	return c.snapshotLocked()
 }
 
+// snapshotEvery is how many journal records trigger compaction into a
+// snapshot.
+const snapshotEvery = 4096
+
 // journalLocked appends one record, batching fsyncs and compacting into
-// a snapshot past the configured thresholds. Callers hold c.mu. No-op
-// when not durable or while restoring.
+// a snapshot past the thresholds. Callers hold c.mu. No-op when not
+// durable or while restoring.
 func (c *Coordinator) journalLocked(rec journalRecord) {
 	if c.jn == nil || c.restoring {
 		return
@@ -418,7 +416,7 @@ func (c *Coordinator) journalLocked(rec journalRecord) {
 		}
 		c.unsynced = 0
 	}
-	if c.jn.Records() >= c.opts.SnapshotEvery {
+	if c.jn.Records() >= snapshotEvery {
 		if err := c.snapshotLocked(); err != nil {
 			c.opts.Logf("snapshot failed: %v", err)
 		}
@@ -734,16 +732,20 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // validateSweep registers a request's shipped custom machines and
 // validates its grid against them. An id that does not match its content
-// is a client bug (or tampering) and rejects the whole sweep.
+// is a client bug (or tampering) and rejects the whole sweep before any
+// spec is registered: the registry is process-global and never shrinks.
 func validateSweep(req SweepRequest) error {
 	for id, raw := range req.Specs {
-		got, _, err := machine.RegisterSpecJSON(raw)
+		got, err := machine.SpecJSONID(raw)
 		if err != nil {
 			return fmt.Errorf("sweepd: custom spec %s: %v", id, err)
 		}
 		if got != id {
 			return fmt.Errorf("sweepd: custom spec id %s does not match its content (canonical id %s)", id, got)
 		}
+	}
+	for _, raw := range req.Specs {
+		machine.RegisterSpecJSON(raw) // decoded above, so it cannot fail
 	}
 	return req.Grid.Validate()
 }

@@ -331,6 +331,37 @@ func TestSchemaMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestMismatchedSpecIDRegistersNothing: a custom machine shipped under
+// an id that does not match its content is rejected (400) before it is
+// registered, so rejected submissions cannot grow the process-global
+// machine registry.
+func TestMismatchedSpecIDRegistersNothing(t *testing.T) {
+	_, srv := startCoordinator(t, CoordinatorOptions{})
+	spec := machine.DMZ()
+	spec.MCBandwidth = 1.234567e9 // content no other test registers
+	raw, err := machine.MarshalJSONSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := machine.SpecJSONID(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(SweepRequest{SchemaVersion: schema.Version, Grid: rankedGrid("cg", 2),
+		Specs: map[string]json.RawMessage{"dmz@000000000000": raw}})
+	resp, err := http.Post(srv.URL+PathSweep, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("spec under a wrong id: status %d, want 400", resp.StatusCode)
+	}
+	if _, ok := machine.CustomSpecJSON(id); ok {
+		t.Fatalf("rejected spec %s was registered", id)
+	}
+}
+
 func TestUnknownWorkerGets404(t *testing.T) {
 	_, srv := startCoordinator(t, CoordinatorOptions{})
 	body, _ := json.Marshal(PollRequest{Worker: "w999"})
