@@ -7,8 +7,8 @@
 //	        [-store DIR] [-resume] [-timeout D] [-faults PLAN]
 //	        [-fault-seed N] [-retries N] <id>...|all|list
 //	mcbench -sweep GRID [-remote URL] [-priority N] [-client ID]
-//	        [-screen] [-promote-margin F]
-//	        [-uncertainty-bound F] [-calibrate] [flags]
+//	        [-screen [-promote-margin F] [-uncertainty-bound F]
+//	        [-calibrate -store DIR]] [flags]
 //	mcbench -calibrate -store DIR
 //
 // Experiment ids are the paper artifact names: fig2..fig17, table2..table14.
@@ -120,8 +120,25 @@ func main() {
 	if *screen && *sweep == "" {
 		fatalf("-screen needs -sweep GRID (paper artifacts always simulate)")
 	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if *promoteMargin <= 0 {
+		fatalf("-promote-margin must be positive")
+	}
+	if *uncBound <= 0 {
+		fatalf("-uncertainty-bound must be positive")
+	}
+	if (set["promote-margin"] || set["uncertainty-bound"]) && !*screen {
+		fatalf("-promote-margin and -uncertainty-bound need -screen (they tune screening)")
+	}
 	if *calibrate && *storeDir == "" {
 		fatalf("-calibrate needs -store DIR (calibration fits against stored simulation results)")
+	}
+	if *calibrate && flag.NArg() != 0 {
+		fatalf("-calibrate applies to screened sweeps or runs alone (paper artifacts always simulate)")
+	}
+	if *calibrate && *sweep != "" && !*screen {
+		fatalf("-calibrate with -sweep needs -screen (calibration corrects screening estimates)")
 	}
 	if *priority < 0 || *priority > sweepd.MaxPriority {
 		fatalf("-priority must be between 0 and %d", sweepd.MaxPriority)

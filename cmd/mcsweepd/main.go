@@ -39,13 +39,6 @@
 // families without an analytic profile). A million-cell grid submission
 // streams back mostly "estimated" cells immediately and occupies the
 // worker fleet only with the contested sliver.
-//
-// Stress mode exercises the whole durable stack in one process —
-// screening tier, distributed service, chaos worker kills, and a
-// coordinator kill+restart — and fails unless the final table is
-// byte-identical to a serial run:
-//
-//	mcsweepd -stress -cells 1000000 [-seed 1] [-j N] [-store DIR] [-state DIR]
 package main
 
 import (
@@ -67,29 +60,20 @@ import (
 func main() {
 	serve := flag.String("serve", "", "coordinator mode: listen address, e.g. 127.0.0.1:9141")
 	worker := flag.String("worker", "", "worker mode: coordinator base URL, e.g. http://127.0.0.1:9141")
-	stress := flag.Bool("stress", false, "stress mode: screened chaos sweep with coordinator kill+restart, checked against serial")
-	storeDir := flag.String("store", "", "worker/stress mode: shared result-store directory (global cell cache)")
+	storeDir := flag.String("store", "", "worker mode: shared result-store directory (global cell cache)")
 	name := flag.String("name", "", "worker mode: label reported to the coordinator (default: hostname)")
 	domain := flag.String("domain", "", "worker mode: failure-domain label (default: hostname)")
-	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "worker mode: cells simulated concurrently; stress mode: worker slots")
-	stateDir := flag.String("state", "", "coordinator/stress mode: durable state directory (journal + snapshot); empty = in-memory only")
+	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "worker mode: cells simulated concurrently")
+	stateDir := flag.String("state", "", "coordinator mode: durable state directory (journal + snapshot); empty = in-memory only")
 	lease := flag.Duration("lease", 15*time.Second, "coordinator mode: lease duration workers must heartbeat within")
 	maxAttempts := flag.Int("max-attempts", 5, "coordinator mode: lease assignments per cell before it fails")
 	quota := flag.Int("quota", 0, "coordinator mode: max in-flight cells per client (0 = unlimited)")
 	retention := flag.Duration("retention", 15*time.Minute, "coordinator mode: how long sweeps outlive their last client (resume window)")
-	cells := flag.Int("cells", 100000, "stress mode: approximate grid size")
-	seed := flag.Int64("seed", 1, "stress mode: chaos schedule seed")
 	quiet := flag.Bool("quiet", false, "suppress per-event logging")
 	flag.Parse()
 
-	modes := 0
-	for _, on := range []bool{*serve != "", *worker != "", *stress} {
-		if on {
-			modes++
-		}
-	}
-	if modes != 1 {
-		fmt.Fprintln(os.Stderr, "mcsweepd: exactly one of -serve ADDR, -worker URL, or -stress is required")
+	if (*serve == "") == (*worker == "") {
+		fmt.Fprintln(os.Stderr, "mcsweepd: exactly one of -serve ADDR or -worker URL is required")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -115,23 +99,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *stress {
-		rep, err := sweepd.Stress(ctx, sweepd.StressOptions{
-			Cells:    *cells,
-			Seed:     *seed,
-			Workers:  2,
-			Slots:    *jobs,
-			StoreDir: *storeDir,
-			StateDir: *stateDir,
-			Logf:     logf,
-		})
-		if err != nil {
-			fatalf("stress: %v", err)
-		}
-		log.Printf("mcsweepd: stress PASS: %s", rep)
-		return
-	}
 
 	if *serve != "" {
 		coord, err := sweepd.NewCoordinator(sweepd.CoordinatorOptions{

@@ -12,13 +12,13 @@ import (
 	"strings"
 	"testing"
 
+	"multicore/internal/report"
 	"multicore/internal/sim"
 )
 
-// renderAll renders an experiment's tables through the given runner to
-// one canonical string. A failed cell fails the test: it would render
-// ERR rather than fail the experiment.
-func renderAll(t *testing.T, r *Runner, e Experiment) string {
+// runTables runs an experiment through the given runner. A failed cell
+// fails the test: it would render ERR rather than fail the experiment.
+func runTables(t *testing.T, r *Runner, e Experiment) []*report.Table {
 	t.Helper()
 	tabs, err := r.Run(e, Quick)
 	if err != nil {
@@ -27,6 +27,18 @@ func renderAll(t *testing.T, r *Runner, e Experiment) string {
 	if errs := r.CellErrors(); len(errs) > 0 {
 		t.Fatalf("%s: failed cells: %v", e.ID, errs)
 	}
+	return tabs
+}
+
+// renderAll renders an experiment's tables through the given runner to
+// one canonical string.
+func renderAll(t *testing.T, r *Runner, e Experiment) string {
+	t.Helper()
+	return renderText(runTables(t, r, e))
+}
+
+// renderText joins tables' text renderings into one canonical string.
+func renderText(tabs []*report.Table) string {
 	var b strings.Builder
 	for _, tab := range tabs {
 		b.WriteString(tab.Text())
@@ -122,50 +134,101 @@ func readWork(t *testing.T) map[string]work {
 	return pinned
 }
 
-// TestSerialParallelIdentical is the determinism regression for the
-// parallel executor: every experiment must render byte-identical tables
-// whether its cells run serially or on a many-worker pool. Each pass
-// gets a fresh runner so both actually simulate. It is also the work
-// gate: both passes must do exactly the pinned engine work (cells are
-// single-flight, so the pool repeats no cell), and the serial pass must
-// stay under the pinned malloc ceiling.
+// shortIDs are the experiments -short sweeps: one light representative
+// of each table family keeps -short (and CI's -race run of it) fast.
+// table3 stands for NPB with numactl options and table11 for
+// applications with them; fig8, fig14 and ablate-sublayer simulate
+// through HPCC, IMB and explicit configs.
+var shortIDs = []string{"fig2", "fig8", "fig14", "table3", "table8", "table11", "ablate-sublayer"}
+
+// sweptExperiments is every registered experiment, or shortIDs under
+// -short.
+func sweptExperiments(t *testing.T) []Experiment {
+	t.Helper()
+	if !testing.Short() {
+		return All()
+	}
+	exps := make([]Experiment, 0, len(shortIDs))
+	for _, id := range shortIDs {
+		e, ok := ByID(id)
+		if !ok {
+			t.Fatalf("no experiment %q", id)
+		}
+		exps = append(exps, e)
+	}
+	return exps
+}
+
+// activity is sim.Activity as one comparable value: events, flows,
+// settles and spawns.
+func activity() [4]uint64 {
+	ev, fl, se, sp := sim.Activity()
+	return [4]uint64{ev, fl, se, sp}
+}
+
+// TestSerialParallelIdentical is the one pass tier-1 makes over the
+// registry's clean runs. Each experiment runs three times, each time on
+// a fresh runner:
+//
+//   - serial, on one worker: the work gate. Its engine work must match
+//     the pin exactly and its mallocs stay under the pinned ceiling.
+//   - 8-worker, which also fills a fresh store: byte-identical tables
+//     and exactly the pinned engine work (cells are single-flight, so
+//     the pool repeats no cell). Writing the store here keeps it out of
+//     the malloc-gated serial pass.
+//   - store, over that store: byte-identical tables with every cell
+//     served from the store and no engine started.
+//
+// The serial tables are kept in cleanTables for the tests that only
+// read tables, so they start no engine of their own.
 func TestSerialParallelIdentical(t *testing.T) {
 	var pinned map[string]work
 	if !*updateEngineGolden {
 		pinned = readWork(t)
 	}
 	measured := map[string]work{}
-	exps := All()
-	if testing.Short() {
-		// One light representative of each table family keeps -short
-		// (and CI's -race run of it) fast: table3 stands for NPB with
-		// numactl options and table11 for applications with them; fig8,
-		// fig14 and ablate-sublayer simulate through HPCC, IMB and
-		// explicit configs.
-		short := []string{"fig2", "fig8", "fig14", "table3", "table8", "table11", "ablate-sublayer"}
-		exps = exps[:0]
-		for _, id := range short {
-			e, ok := ByID(id)
-			if !ok {
-				t.Fatalf("no experiment %q", id)
-			}
-			exps = append(exps, e)
-		}
-	}
-	for _, e := range exps {
+	for _, e := range sweptExperiments(t) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			var serial, parallel string
-			sw := measureWork(func() { serial = renderAll(t, NewRunner(nil, Options{Parallelism: 1}), e) })
-			pw := measureWork(func() { parallel = renderAll(t, NewRunner(nil, Options{Parallelism: 8}), e) })
-			if serial != parallel {
-				t.Errorf("%s: serial and parallel runs render different tables\nserial:\n%s\nparallel:\n%s",
-					e.ID, serial, parallel)
-			}
+			var serial []*report.Table
+			var text string
+			sw := measureWork(func() {
+				serial = runTables(t, NewRunner(nil, Options{Parallelism: 1}), e)
+				text = renderText(serial)
+			})
 			measured[e.ID] = sw
+			keepClean(e.ID, serial)
+
+			st := openStore(t)
+			pr := NewRunner(nil, Options{Parallelism: 8, Store: st})
+			var parallel string
+			pw := measureWork(func() { parallel = renderAll(t, pr, e) })
+			if parallel != text {
+				t.Errorf("%s: serial and parallel runs render different tables\nserial:\n%s\nparallel:\n%s",
+					e.ID, text, parallel)
+			}
 			if want, ok := pinned[e.ID]; ok {
 				checkWork(t, e.ID, "serial", want, sw, !raceEnabled)
 				checkWork(t, e.ID, "8-worker", want, pw, false)
+				t.Logf("%s: serial mallocs %d, pinned %d (%.4f)", e.ID, sw.Mallocs, want.Mallocs, float64(sw.Mallocs)/float64(want.Mallocs))
+			}
+			if pr.CellsRun() == 0 {
+				t.Fatalf("%s: first pass simulated nothing", e.ID)
+			}
+
+			sr := NewRunner(nil, Options{Store: st})
+			before := activity()
+			if stored := renderAll(t, sr, e); stored != text {
+				t.Errorf("%s: stored tables differ from simulated ones:\nfirst:\n%s\nsecond:\n%s", e.ID, text, stored)
+			}
+			if n := sr.CellsRun(); n != 0 {
+				t.Errorf("%s: second pass simulated %d cells, want 0 (all served from the store)", e.ID, n)
+			}
+			if sr.StoreHits() == 0 {
+				t.Errorf("%s: second pass recorded no store hits", e.ID)
+			}
+			if after := activity(); after != before {
+				t.Errorf("%s: second pass started engines: activity (events, flows, settles, spawns) %v -> %v", e.ID, before, after)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -149,20 +150,38 @@ func TestTable2HasDashesAt16OneMPI(t *testing.T) {
 	}
 }
 
-// testRunner is shared by mustRun and TestAllExperimentsProduceTables:
-// its cache keeps cells shared across tests to one simulation.
+// cleanTables holds each experiment's tables from its latest clean run:
+// TestSerialParallelIdentical's serial pass, or mustRun's fallback.
+var (
+	cleanMu     sync.Mutex
+	cleanTables = map[string][]*report.Table{}
+)
+
+func keepClean(id string, tabs []*report.Table) {
+	cleanMu.Lock()
+	defer cleanMu.Unlock()
+	cleanTables[id] = tabs
+}
+
+// testRunner runs the experiments no clean pass has run yet: its cache
+// keeps cells shared across tests to one simulation.
 var testRunner = NewRunner(nil, Options{})
 
-// mustRun executes an experiment at Quick scale on testRunner.
+// mustRun returns an experiment's clean tables at Quick scale, running
+// it on testRunner unless TestSerialParallelIdentical already has, and
+// checks that every table renders.
 func mustRun(t *testing.T, id string) []*report.Table {
 	t.Helper()
 	e, ok := ByID(id)
 	if !ok {
 		t.Fatalf("no experiment %q", id)
 	}
-	tabs, err := testRunner.Run(e, Quick)
-	if err != nil {
-		t.Fatalf("%s: %v", id, err)
+	cleanMu.Lock()
+	tabs, ok := cleanTables[id]
+	cleanMu.Unlock()
+	if !ok {
+		tabs = runTables(t, testRunner, e)
+		keepClean(id, tabs)
 	}
 	if len(tabs) == 0 {
 		t.Fatalf("%s returned no tables", id)
@@ -174,33 +193,20 @@ func mustRun(t *testing.T, id string) []*report.Table {
 		if !strings.Contains(tab.Markdown(), "|") {
 			t.Fatalf("%s markdown looks wrong", id)
 		}
+		if tab.CSV() == "" || tab.Text() == "" {
+			t.Fatalf("%s rendering failed", id)
+		}
 	}
 	return tabs
 }
 
+// TestAllExperimentsProduceTables checks that every experiment the clean
+// pass sweeps renders at least one non-empty table as text, Markdown and
+// CSV.
 func TestAllExperimentsProduceTables(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full sweep skipped in -short mode")
-	}
-	for _, e := range All() {
+	for _, e := range sweptExperiments(t) {
 		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			tabs, err := testRunner.Run(e, Quick)
-			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
-			if len(tabs) == 0 {
-				t.Fatalf("%s returned no tables", e.ID)
-			}
-			for _, tab := range tabs {
-				if tab.NumRows() == 0 {
-					t.Fatalf("%s produced an empty table", e.ID)
-				}
-				if tab.CSV() == "" || tab.Markdown() == "" || tab.Text() == "" {
-					t.Fatalf("%s rendering failed", e.ID)
-				}
-			}
-		})
+		t.Run(e.ID, func(t *testing.T) { mustRun(t, e.ID) })
 	}
 }
 
@@ -220,7 +226,7 @@ func TestEveryExperimentHonoursRunner(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			clean := renderAll(t, testRunner, e)
+			clean := renderText(mustRun(t, e.ID))
 			if faulted := renderAll(t, NewRunner(nil, Options{Faults: plan}), e); faulted == clean {
 				t.Errorf("%s: tables under %q equal the clean tables", e.ID, honourPlan)
 			}

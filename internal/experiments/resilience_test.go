@@ -406,7 +406,8 @@ func TestCanceledEngineCellNotPersisted(t *testing.T) {
 	for stored := 0; stored == 0; stored, _ = st.Len() {
 		time.Sleep(50 * time.Microsecond)
 	}
-	cancel() // the other worker is most likely mid-engine
+	// The other worker is most likely mid-engine.
+	cancel()
 	if err := <-done; err != nil && !errors.Is(err, context.Canceled) { // nil: fig14 finished first
 		t.Fatalf("canceled fig14: %v, want context.Canceled", err)
 	}
@@ -421,38 +422,6 @@ func TestCanceledEngineCellNotPersisted(t *testing.T) {
 	}
 	if len(r.CellErrors()) != 0 {
 		t.Errorf("cancellation recorded as cell errors: %v", r.CellErrors())
-	}
-}
-
-// TestStoreRoundTripAllExperiments: every experiment's cells persist. A
-// fresh runner over the store of a full sweep starts no engine and
-// renders every artifact byte-identically.
-func TestStoreRoundTripAllExperiments(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every experiment")
-	}
-	st := openStore(t)
-	r1 := NewRunner(nil, Options{Store: st})
-	first := map[string]string{}
-	for _, e := range All() {
-		first[e.ID] = renderAll(t, r1, e)
-	}
-	r2 := NewRunner(nil, Options{Store: st})
-	activity := func() [4]uint64 {
-		ev, fl, se, sp := sim.Activity()
-		return [4]uint64{ev, fl, se, sp}
-	}
-	before := activity()
-	for _, e := range All() {
-		if got := renderAll(t, r2, e); got != first[e.ID] {
-			t.Errorf("%s: stored tables differ from simulated ones:\nfirst:\n%s\nsecond:\n%s", e.ID, first[e.ID], got)
-		}
-	}
-	if n := r2.CellsRun(); n != 0 {
-		t.Errorf("second pass simulated %d cells, want 0 (all served from the store)", n)
-	}
-	if after := activity(); after != before {
-		t.Errorf("second pass started engines: activity (events, flows, settles, spawns) %v -> %v", before, after)
 	}
 }
 
@@ -494,34 +463,5 @@ func TestCanceledRunnerDiscardsPartialTables(t *testing.T) {
 	}}, Quick)
 	if tabs != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("aborted engine: got (%v, %v), want no tables and context.Canceled", tabs, err)
-	}
-}
-
-// TestResumeReproducesByteIdenticalTables is the end-to-end acceptance
-// check: render a real experiment into a store, then render it again with
-// a fresh runner — the second pass must simulate nothing and produce
-// byte-identical text.
-func TestResumeReproducesByteIdenticalTables(t *testing.T) {
-	st := openStore(t)
-	e, ok := ByID("table13")
-	if !ok {
-		t.Fatal("no experiment table13")
-	}
-	r1 := NewRunner(nil, Options{Store: st})
-	first := renderAll(t, r1, e)
-	if r1.CellsRun() == 0 {
-		t.Fatal("first pass simulated nothing")
-	}
-
-	r2 := NewRunner(nil, Options{Store: st})
-	second := renderAll(t, r2, e)
-	if r2.CellsRun() != 0 {
-		t.Fatalf("second pass simulated %d cells, want 0 (all served from store)", r2.CellsRun())
-	}
-	if r2.StoreHits() == 0 {
-		t.Fatal("second pass recorded no store hits")
-	}
-	if first != second {
-		t.Errorf("stored tables differ from simulated ones:\nfirst:\n%s\nsecond:\n%s", first, second)
 	}
 }

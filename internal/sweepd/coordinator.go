@@ -283,12 +283,6 @@ func (c *Coordinator) Close() {
 	})
 }
 
-// crash abandons the coordinator without syncing or closing the
-// journal — the in-process equivalent of SIGKILL, used by crash-restart
-// tests and the stress harness. The journal file handle leaks until the
-// process exits, exactly as a kill would leave it.
-func (c *Coordinator) crash() { c.stopOnce.Do(func() { close(c.stop) }) }
-
 // restore rebuilds state from a snapshot plus journal records. Replay
 // is idempotent: records already reflected in the snapshot re-apply
 // harmlessly (the snapshot/truncate crash window leaves such records).

@@ -6,12 +6,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"sync"
 	"testing"
 	"time"
 
 	"multicore/internal/analytic"
+	"multicore/internal/experiments"
 	"multicore/internal/schema"
 	"multicore/internal/store"
 )
@@ -313,21 +315,79 @@ func TestUnknownResumeToken404(t *testing.T) {
 	}
 }
 
+// tcpCoordinator is one coordinator incarnation bound to a real TCP
+// listener, so a restarted incarnation can rebind the address clients
+// reconnect to.
+type tcpCoordinator struct {
+	coord *Coordinator
+	srv   *http.Server
+}
+
+func startTCPCoordinator(addr string, opts CoordinatorOptions) (*tcpCoordinator, string, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, "", err
+	}
+	coord, err := NewCoordinator(opts)
+	if err != nil {
+		ln.Close()
+		return nil, "", err
+	}
+	tc := &tcpCoordinator{coord: coord, srv: &http.Server{Handler: coord.Handler()}}
+	go tc.srv.Serve(ln)
+	return tc, ln.Addr().String(), nil
+}
+
+// kill simulates SIGKILL: the coordinator stops without syncing or
+// closing its journal and connections are severed. The journal file
+// handle leaks until the process exits, exactly as a kill would leave
+// it.
+func (tc *tcpCoordinator) kill() {
+	tc.coord.stopOnce.Do(func() { close(tc.coord.stop) })
+	tc.srv.Close()
+}
+
+func (tc *tcpCoordinator) close() {
+	tc.coord.Close()
+	tc.srv.Close()
+}
+
 // TestCoordinatorCrashRestartResumesSweep is the headline durability
 // guarantee end to end: SIGKILL the coordinator mid-sweep, restart it
 // from the journal on the same address, and the in-flight client sweep
 // completes byte-identical to serial with every cell simulated at most
-// once.
+// once. A screened sweep survives the restart too: restore re-screens
+// it rather than journaling its settled cells, so its table must equal
+// RunScreened's serial one with only the promoted cells simulated.
 func TestCoordinatorCrashRestartResumesSweep(t *testing.T) {
 	g := e2eGrid()
-	golden, goldenTable := serialGolden(t, g)
+	t.Run("direct", func(t *testing.T) {
+		golden, _ := serialGolden(t, g)
+		crashRestartSweep(t, g, false, golden, len(g.Cells()))
+	})
+	t.Run("screened", func(t *testing.T) {
+		r := experiments.NewRunner(context.Background(), experiments.Options{Parallelism: 1})
+		golden, decisions := RunScreened(r, analytic.New(), g, ScreenOptions{}, 1)
+		sum := ScreenSummary(decisions, golden)
+		if sum.Promoted == 0 || sum.Screened == 0 {
+			t.Fatalf("screening %v: %+v, want both promoted and screened cells", g, sum)
+		}
+		crashRestartSweep(t, g, true, golden, sum.Promoted)
+	})
+}
+
+// crashRestartSweep submits g, kills the coordinator once a cell is
+// leased, restarts it on the same address and checks the completed
+// sweep against the serial golden results, with the worker simulating
+// exactly the given number of cells.
+func crashRestartSweep(t *testing.T, g Grid, screen bool, golden map[string]CellResult, simulated int) {
 	stateDir := t.TempDir()
 	storeDir := t.TempDir()
 	coordOpts := CoordinatorOptions{
 		Lease: time.Second, StateDir: stateDir, SyncEvery: 1,
 		PingEvery: 100 * time.Millisecond,
 	}
-	sc, addr, err := startStressCoordinator("127.0.0.1:0", coordOpts)
+	tc, addr, err := startTCPCoordinator("127.0.0.1:0", coordOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +410,7 @@ func TestCoordinatorCrashRestartResumesSweep(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() {
 		sum, err := Submit(context.Background(), base, SweepRequest{
-			SchemaVersion: schema.Version, Grid: g, Client: "crashtest",
+			SchemaVersion: schema.Version, Grid: g, Screen: screen, Client: "crashtest",
 		}, func(r CellResult) {
 			mu.Lock()
 			results[r.Cell.Key()] = r
@@ -361,13 +421,13 @@ func TestCoordinatorCrashRestartResumesSweep(t *testing.T) {
 	}()
 
 	<-firstCell // a cell is leased: the sweep is live
-	sc.kill()   // simulated SIGKILL: journal unflushed, connections severed
+	tc.kill()   // simulated SIGKILL: journal unflushed, connections severed
 	time.Sleep(150 * time.Millisecond)
-	sc2, _, err := startStressCoordinator(addr, coordOpts)
+	tc2, _, err := startTCPCoordinator(addr, coordOpts)
 	if err != nil {
 		t.Fatalf("coordinator restart: %v", err)
 	}
-	defer sc2.close()
+	defer tc2.close()
 
 	sum := <-sumc
 	if err := <-errc; err != nil {
@@ -379,7 +439,7 @@ func TestCoordinatorCrashRestartResumesSweep(t *testing.T) {
 	mu.Lock()
 	got := Table(g, results).Text()
 	mu.Unlock()
-	if got != goldenTable {
+	if goldenTable := Table(g, golden).Text(); got != goldenTable {
 		t.Errorf("post-crash table differs from serial:\n--- distributed\n%s--- serial\n%s", got, goldenTable)
 	}
 	mu.Lock()
@@ -391,15 +451,15 @@ func TestCoordinatorCrashRestartResumesSweep(t *testing.T) {
 	mu.Unlock()
 	// Zero re-simulation: cells finalized before the crash were restored
 	// from the journal, and cells completed during the outage re-lease
-	// into store hits — either way the worker simulates each cell once.
-	if run, _ := w.Stats(); run != len(g.Cells()) {
-		t.Errorf("worker simulated %d cells across the crash, want %d", run, len(g.Cells()))
+	// into store hits; either way the worker simulates each cell once.
+	if run, _ := w.Stats(); run != simulated {
+		t.Errorf("worker simulated %d cells across the crash, want %d", run, simulated)
 	}
 	st, err := store.Open(storeDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := st.Len(); err != nil || n != len(g.Cells()) {
-		t.Errorf("store holds %d entries (err %v), want %d", n, err, len(g.Cells()))
+	if n, err := st.Len(); err != nil || n != simulated {
+		t.Errorf("store holds %d entries (err %v), want %d", n, err, simulated)
 	}
 }

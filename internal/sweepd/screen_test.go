@@ -232,8 +232,8 @@ func TestScreenGridAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkScreenGrid screens the stress-grid shape (three families on
-// two systems under four schemes) over 1000 rank counts on a warm
+// BenchmarkScreenGrid screens screenGrid's shape (three families on two
+// systems under four schemes) over 1000 rank counts on a warm
 // estimator, reporting the cost per cell.
 func BenchmarkScreenGrid(b *testing.B) {
 	g := screenGrid()
