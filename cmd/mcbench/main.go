@@ -43,10 +43,11 @@
 // of killing the run (exit 1), and with -store every completed cell is
 // persisted so the next invocation (add -resume to also retry failed
 // cells) re-runs only what is missing and reproduces byte-identical
-// tables. Concurrent -store runs over the same directory are serialized
-// by an advisory lock. With -faults, the deterministic perturbations of
-// a fault plan (see internal/fault) are injected into every simulation;
-// -retries re-attempts cells that fail transiently.
+// tables. Concurrent -store runs may share a directory; a cell both of
+// them miss is simulated twice, to the same result. With -faults, the
+// deterministic perturbations of a fault plan (see internal/fault) are
+// injected into every simulation; -retries re-attempts cells that fail
+// transiently.
 package main
 
 import (
@@ -171,22 +172,11 @@ func main() {
 		}
 	}
 	if *storeDir != "" {
-		st, err := store.Open(*storeDir)
-		if err != nil {
+		if cellStore, err = store.Open(*storeDir); err != nil {
 			fatalf("%v", err)
 		}
-		// Serialize whole sweeps: a second mcbench on the same store would
-		// resimulate every cell this one has in flight.
-		if ok, err := st.TryLock(); err != nil {
-			fatalf("%v", err)
-		} else if !ok {
-			fmt.Fprintf(os.Stderr, "mcbench: store %s is locked by another run; waiting...\n", *storeDir)
-			if err := st.Lock(); err != nil {
-				fatalf("%v", err)
-			}
-		}
-		defer st.Unlock()
-		opts.Store = st
+		defer cellStore.Close()
+		opts.Store = cellStore
 	}
 
 	// SIGINT/SIGTERM cancels the sweep: in-flight engines abort, no new
@@ -321,10 +311,10 @@ func main() {
 		if *storeDir != "" {
 			fmt.Fprintf(os.Stderr, "mcbench: completed cells are saved; re-run the same command to continue\n")
 		}
-		os.Exit(130)
+		exit(130)
 	}
 	if failed > 0 || len(runner.CellErrors()) > 0 {
-		os.Exit(1)
+		exit(1)
 	}
 }
 
@@ -416,7 +406,7 @@ func runSweep(ctx context.Context, gridStr, remote, scale string, opts experimen
 		}
 		if ctx.Err() != nil {
 			fmt.Fprintf(os.Stderr, "mcbench: interrupted\n")
-			os.Exit(130)
+			exit(130)
 		}
 		for _, e := range runner.CellErrors() {
 			fmt.Fprintf(os.Stderr, "mcbench: cell error: %v\n", e)
@@ -433,7 +423,7 @@ func runSweep(ctx context.Context, gridStr, remote, scale string, opts experimen
 		fmt.Fprintf(os.Stderr, "cells: %d simulated, %d store hits\n", sum.Simulated, sum.StoreHits)
 	}
 	if failed {
-		os.Exit(1)
+		exit(1)
 	}
 }
 
@@ -512,5 +502,16 @@ flags:
 
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "mcbench: "+format+"\n", args...)
-	os.Exit(1)
+	exit(1)
+}
+
+// cellStore is the -store handle. exit closes it, sealing the segment
+// this run wrote, which os.Exit would skip.
+var cellStore *store.Store
+
+func exit(code int) {
+	if cellStore != nil {
+		cellStore.Close()
+	}
+	os.Exit(code)
 }

@@ -41,8 +41,6 @@ type Job struct {
 	// Net is the inter-node interconnect for Nodes > 1 (default
 	// RapidArray, the Cray XD1 fabric connecting Tiger's nodes).
 	Net *mpi.NetSpec
-	// Seed feeds rank-local RNGs.
-	Seed int64
 	// Trace, when non-nil, records per-rank spans for the run (see
 	// sim.Trace); nil disables tracing with no overhead.
 	Trace *sim.Trace
@@ -102,7 +100,6 @@ func (j Job) Config() (mpi.Config, error) {
 		Nodes:         j.Nodes,
 		Net:           j.Net,
 		DeriveBufMode: j.BufMode == nil,
-		Seed:          j.Seed,
 		Trace:         j.Trace,
 		Observe:       j.Observe,
 		Faults:        j.Faults,

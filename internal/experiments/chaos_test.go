@@ -19,6 +19,7 @@ import (
 	"multicore/internal/report"
 	"multicore/internal/sim"
 	"multicore/internal/store"
+	"multicore/internal/sweepd/journal"
 )
 
 // chaosBody is a small synthetic SPMD program exercising every injection
@@ -180,29 +181,36 @@ func TestNoRetryForDeterministicFailure(t *testing.T) {
 	}
 }
 
-// countStatuses decodes every committed entry in the store directory,
-// failing the test on any unparseable entry, and tallies by status.
+// countStatuses decodes every entry frame of every segment in the store
+// directory, failing the test on a torn frame or an unparseable entry,
+// and tallies by status.
 func countStatuses(t *testing.T, dir string) map[string]int {
 	t.Helper()
-	ents, err := os.ReadDir(dir)
+	paths, err := filepath.Glob(filepath.Join(dir, "*.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	counts := map[string]int{}
-	for _, ent := range ents {
-		if filepath.Ext(ent.Name()) != ".json" {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var e store.Entry
-		if err := json.Unmarshal(data, &e); err != nil {
-			t.Errorf("store entry %s is corrupt after the sweep: %v", ent.Name(), err)
-			continue
+		payloads, valid := journal.DecodeFrames(data)
+		if valid != len(data) {
+			t.Errorf("segment %s has %d torn bytes after the sweep", path, len(data)-valid)
 		}
-		counts[e.Status]++
+		for i, p := range payloads {
+			if len(p) == 0 {
+				continue // the seal a closed store appends
+			}
+			var e store.Entry
+			if err := json.Unmarshal(p, &e); err != nil {
+				t.Errorf("entry %d of %s is corrupt after the sweep: %v", i, path, err)
+				continue
+			}
+			counts[e.Status]++
+		}
 	}
 	return counts
 }
@@ -284,8 +292,8 @@ func TestRetryExhaustionRendersERR(t *testing.T) {
 }
 
 // TestChaosStoreIntegrity sweeps fault plans across systems into one
-// shared store and then audits it: every entry parses, nothing was
-// quarantined, perturbed keys never alias clean ones, and a second pass
+// shared store and then audits it: every segment frame is intact and
+// parses, perturbed keys never alias clean ones, and a second pass
 // under the identical (plan, seed) serves everything from the store.
 func TestChaosStoreIntegrity(t *testing.T) {
 	st := openStore(t)
@@ -324,9 +332,6 @@ func TestChaosStoreIntegrity(t *testing.T) {
 	counts := countStatuses(t, st.Dir())
 	if counts[store.StatusOK] != len(chaosPlans)+1 {
 		t.Errorf("statuses = %v, want %d ok", counts, len(chaosPlans)+1)
-	}
-	if st.Quarantined() != 0 {
-		t.Errorf("sweep quarantined %d entries", st.Quarantined())
 	}
 
 	// Second pass, same (plan, seed): pure store hits with identical values.

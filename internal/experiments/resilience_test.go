@@ -16,6 +16,7 @@ import (
 	"multicore/internal/report"
 	"multicore/internal/sim"
 	"multicore/internal/store"
+	"multicore/internal/sweepd/journal"
 )
 
 func testCellKey(workload string) CellKey {
@@ -23,34 +24,50 @@ func testCellKey(workload string) CellKey {
 		Scheme: affinity.OneMPILocalAlloc, Scale: Quick}
 }
 
-// corruptAllEntries truncates every committed entry file in dir.
+// corruptAllEntries flips one payload byte of every entry frame in every
+// segment of dir, so no entry passes its CRC check.
 func corruptAllEntries(t *testing.T, dir string) {
 	t.Helper()
-	ents, err := os.ReadDir(dir)
+	paths, err := filepath.Glob(filepath.Join(dir, "*.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := 0
-	for _, ent := range ents {
-		if filepath.Ext(ent.Name()) != ".json" {
-			continue
-		}
-		if err := os.WriteFile(filepath.Join(dir, ent.Name()), []byte("{trunc"), 0o644); err != nil {
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
 			t.Fatal(err)
 		}
-		n++
+		payloads, _ := journal.DecodeFrames(data)
+		for _, p := range payloads {
+			if len(p) > 0 { // not a seal
+				p[len(p)/2] ^= 0x20 // payloads alias data
+				n++
+			}
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if n == 0 {
 		t.Fatal("no entries to corrupt")
 	}
 }
 
+// openStore opens a store in a fresh directory and releases it when the
+// test ends.
 func openStore(t *testing.T) *store.Store {
 	t.Helper()
-	st, err := store.Open(t.TempDir())
+	return reopenStore(t, t.TempDir())
+}
+
+func reopenStore(t *testing.T, dir string) *store.Store {
+	t.Helper()
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() })
 	return st
 }
 
@@ -263,8 +280,9 @@ func TestStoredErrorRetriedWithResume(t *testing.T) {
 	}
 }
 
-// TestCorruptStoreEntryReRuns: a truncated entry file reads as a miss and
-// the cell re-simulates.
+// TestCorruptStoreEntryReRuns: an entry whose frame fails its CRC check
+// reads as a miss in the next process to open the store, and the cell
+// re-simulates.
 func TestCorruptStoreEntryReRuns(t *testing.T) {
 	st := openStore(t)
 	key := testCellKey("corrupt")
@@ -272,9 +290,10 @@ func TestCorruptStoreEntryReRuns(t *testing.T) {
 	if _, err := runCell(r1, key, func() (float64, error) { return 5, nil }); err != nil {
 		t.Fatal(err)
 	}
+	st.Close()
 	corruptAllEntries(t, st.Dir())
 
-	r2 := NewRunner(nil, Options{Store: st})
+	r2 := NewRunner(nil, Options{Store: reopenStore(t, st.Dir())})
 	v, err := runCell(r2, key, func() (float64, error) { return 6, nil })
 	if err != nil || v != 6 {
 		t.Fatalf("after corruption = (%v, %v), want re-run 6", v, err)

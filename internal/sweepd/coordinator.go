@@ -724,11 +724,19 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// validateSweep registers a request's shipped custom machines and
-// validates its grid against them. An id that does not match its content
-// is a client bug (or tampering) and rejects the whole sweep before any
-// spec is registered: the registry is process-global and never shrinks.
+// validateSweep checks a request's screening options, registers its
+// shipped custom machines and validates its grid against them. Screening
+// options mcbench would reject, or an id that does not match its
+// content, are a client bug (or tampering) and reject the whole sweep
+// before any spec is registered: the registry is process-global and
+// never shrinks.
 func validateSweep(req SweepRequest) error {
+	if req.PromoteMargin < 0 || req.UncertaintyBound < 0 {
+		return fmt.Errorf("sweepd: promote_margin and uncertainty_bound must not be negative (0 takes the default)")
+	}
+	if !req.Screen && (req.PromoteMargin != 0 || req.UncertaintyBound != 0) {
+		return fmt.Errorf("sweepd: promote_margin and uncertainty_bound need screen (they tune screening)")
+	}
 	for id, raw := range req.Specs {
 		got, err := machine.SpecJSONID(raw)
 		if err != nil {

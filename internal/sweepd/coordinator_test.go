@@ -88,13 +88,18 @@ func testGrid() Grid {
 // summary and collected results.
 func submitAsync(t *testing.T, base string, req SweepRequest) (<-chan *Summary, <-chan map[string]CellResult, <-chan error) {
 	t.Helper()
+	// Cleanups run last-registered first, so this cancel ends the stream
+	// before startCoordinator's cleanup closes the server: a test that
+	// fails mid-sweep returns instead of blocking in httptest's Close.
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
 	sumc := make(chan *Summary, 1)
 	resc := make(chan map[string]CellResult, 1)
 	errc := make(chan error, 1)
 	go func() {
 		results := map[string]CellResult{}
 		var mu sync.Mutex
-		sum, err := Submit(context.Background(), base, req, func(r CellResult) {
+		sum, err := Submit(ctx, base, req, func(r CellResult) {
 			mu.Lock()
 			results[r.Cell.Key()] = r
 			mu.Unlock()
@@ -141,7 +146,11 @@ func TestLeaseExpiryReassigns(t *testing.T) {
 }
 
 func TestHeartbeatKeepsLease(t *testing.T) {
-	_, srv := startCoordinator(t, CoordinatorOptions{Lease: 80 * time.Millisecond})
+	// The lease outlasts a heartbeat period (a quarter lease) plus two
+	// round trips by about 200 ms, which -race scheduling on a loaded
+	// host does not eat; the loop spans at least three full leases.
+	const lease = 300 * time.Millisecond
+	_, srv := startCoordinator(t, CoordinatorOptions{Lease: lease})
 	w1 := registerWorker(t, srv.URL)
 	w2 := registerWorker(t, srv.URL)
 
@@ -153,7 +162,7 @@ func TestHeartbeatKeepsLease(t *testing.T) {
 	}
 	// Heartbeat well past the original lease; the cell must not be
 	// re-leased while renewed.
-	for i := 0; i < 10; i++ {
+	for start := time.Now(); time.Since(start) < 3*lease; {
 		hb := postAs[HeartbeatResponse](t, srv.URL+PathHeartbeat, HeartbeatRequest{Worker: w1, IDs: []string{asg.ID}})
 		if len(hb.Lost) != 0 {
 			t.Fatalf("heartbeat lost lease: %v", hb.Lost)
@@ -161,7 +170,7 @@ func TestHeartbeatKeepsLease(t *testing.T) {
 		if resp := postAs[PollResponse](t, srv.URL+PathPoll, PollRequest{Worker: w2, WaitMillis: 10}); resp.Assignment != nil {
 			t.Fatalf("cell re-leased to w2 despite heartbeats: %+v", resp.Assignment)
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(lease / 4)
 	}
 	completeOK(t, srv.URL, w1, asg, 2.5)
 	<-sumc
@@ -362,6 +371,59 @@ func TestMismatchedSpecIDRegistersNothing(t *testing.T) {
 	}
 }
 
+// TestSubmitValidatesScreening: the coordinator rejects the screening
+// options mcbench rejects — a negative promote_margin or
+// uncertainty_bound, or either one without screen — with 400, before it
+// registers a machine the request ships.
+func TestSubmitValidatesScreening(t *testing.T) {
+	_, srv := startCoordinator(t, CoordinatorOptions{})
+	spec := machine.DMZ()
+	spec.MCBandwidth = 2.345678e9 // content no other test registers
+	raw, err := machine.MarshalJSONSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := machine.SpecJSONID(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		req  SweepRequest
+		want string
+	}{
+		{"negative margin", SweepRequest{Screen: true, PromoteMargin: -1}, "must not be negative"},
+		{"negative bound", SweepRequest{Screen: true, UncertaintyBound: -3}, "must not be negative"},
+		{"margin without screen", SweepRequest{PromoteMargin: 0.5}, "need screen"},
+		{"bound without screen", SweepRequest{UncertaintyBound: 0.5}, "need screen"},
+	} {
+		req := tc.req
+		req.SchemaVersion, req.Grid = schema.Version, rankedGrid("stream", 1, 2)
+		req.Specs = map[string]json.RawMessage{id: raw}
+		body, _ := json.Marshal(req)
+		resp, err := http.Post(srv.URL+PathSweep, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		}
+		_, err = Submit(context.Background(), srv.URL, req, nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Submit error = %v, want one saying %q", tc.name, err, tc.want)
+		}
+	}
+	if _, ok := machine.CustomSpecJSON(id); ok {
+		t.Fatalf("spec %s shipped with rejected screening options was registered", id)
+	}
+	ok := SweepRequest{SchemaVersion: schema.Version, Grid: rankedGrid("stream", 1, 2),
+		Screen: true, PromoteMargin: 0.2, UncertaintyBound: 0.4}
+	if err := validateSweep(ok); err != nil {
+		t.Errorf("screened request with positive options rejected: %v", err)
+	}
+}
+
 func TestUnknownWorkerGets404(t *testing.T) {
 	_, srv := startCoordinator(t, CoordinatorOptions{})
 	body, _ := json.Marshal(PollRequest{Worker: "w999"})
@@ -427,6 +489,7 @@ func FuzzSweepSubmit(f *testing.F) {
 		{SchemaVersion: v, Grid: rankedGrid("stream", 1, 2, 3, 4, 5, 6, 7, 8, 9)}, // over the quota
 		{SchemaVersion: v, Grid: screened, Screen: true, Client: "b"},
 		{SchemaVersion: v, Grid: screened, Screen: true, Faults: "noise:core=0,period=1ms,frac=0.1"},
+		{SchemaVersion: v, Grid: screened, PromoteMargin: -1, UncertaintyBound: 0.5},
 		{SchemaVersion: v, Grid: noScale},
 		{SchemaVersion: v, Grid: badScheme},
 		{SchemaVersion: v, Grid: rankedGrid("cg", 2), Specs: map[string]json.RawMessage{"sock:wrong@000000000000": spec}},

@@ -459,6 +459,7 @@ func crashRestartSweep(t *testing.T, g Grid, screen bool, golden map[string]Cell
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st.Close()
 	if n, err := st.Len(); err != nil || n != simulated {
 		t.Errorf("store holds %d entries (err %v), want %d", n, err, simulated)
 	}

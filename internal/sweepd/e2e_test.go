@@ -117,6 +117,7 @@ func TestDistributedSweepMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st.Close()
 	if n, err := st.Len(); err != nil || n != len(g.Cells()) {
 		t.Errorf("store holds %d entries (err %v), want %d", n, err, len(g.Cells()))
 	}
@@ -211,6 +212,7 @@ func TestDuplicateSubmissionsSimulateEachCellOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st.Close()
 	if n, err := st.Len(); err != nil || n != nCells {
 		t.Errorf("store holds %d entries (err %v), want %d", n, err, nCells)
 	}

@@ -10,6 +10,9 @@
 // Replay must therefore be idempotent against the snapshot: a crash
 // between the snapshot rename and the journal truncation leaves old
 // records in the journal that the snapshot already reflects.
+//
+// The result store (internal/store) frames its log segments with the
+// same EncodeFrame and DecodeFrames.
 package journal
 
 import (

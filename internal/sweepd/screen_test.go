@@ -1,6 +1,7 @@
 package sweepd
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"errors"
@@ -16,6 +17,7 @@ import (
 	"multicore/internal/experiments"
 	"multicore/internal/machine"
 	"multicore/internal/schema"
+	"multicore/internal/store"
 	"multicore/internal/workload"
 )
 
@@ -307,17 +309,27 @@ func TestScreenPromotionMargin(t *testing.T) {
 
 // TestRunScreenedByteStable: the two-tier executor's promoted cells run
 // through the same path as a direct sweep, so (a) every result is
-// identical across worker counts, and (b) promoted cells' fingerprints
-// are byte-identical to an unscreened run's.
+// identical across worker counts, (b) promoted cells' fingerprints are
+// byte-identical to an unscreened run's, and (c) every store entry the
+// screened run writes equals the direct run's entry for its key.
 func TestRunScreenedByteStable(t *testing.T) {
 	g := screenGrid()
 	opts := ScreenOptions{}
 
-	newRunner := func() *experiments.Runner {
-		return experiments.NewRunner(context.Background(), experiments.Options{Parallelism: 2})
+	newRunner := func(st *store.Store) *experiments.Runner {
+		return experiments.NewRunner(context.Background(), experiments.Options{Parallelism: 2, Store: st})
 	}
-	res1, dec1 := RunScreened(newRunner(), analytic.New(), g, opts, 1)
-	res4, dec4 := RunScreened(newRunner(), analytic.New(), g, opts, 4)
+	openStore := func() *store.Store {
+		st, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st
+	}
+	screenStore, directStore := openStore(), openStore()
+	res1, dec1 := RunScreened(newRunner(screenStore), analytic.New(), g, opts, 1)
+	res4, dec4 := RunScreened(newRunner(nil), analytic.New(), g, opts, 4)
 	if len(dec1) != len(dec4) || len(res1) != len(res4) {
 		t.Fatalf("worker counts changed the result shape: %d/%d vs %d/%d",
 			len(dec1), len(res1), len(dec4), len(res4))
@@ -333,7 +345,7 @@ func TestRunScreenedByteStable(t *testing.T) {
 	}
 
 	// Promoted cells vs the direct (unscreened) golden run.
-	golden := RunLocal(newRunner(), g, 1)
+	golden := RunLocal(newRunner(directStore), g, 1)
 	var promoted int
 	for _, d := range dec1 {
 		if !d.Promote {
@@ -359,6 +371,29 @@ func TestRunScreenedByteStable(t *testing.T) {
 	sum := ScreenSummary(dec1, res1)
 	if sum.Cells != len(dec1) || sum.Promoted != promoted || sum.Screened != len(dec1)-promoted {
 		t.Errorf("summary %+v inconsistent with %d decisions / %d promoted", sum, len(dec1), promoted)
+	}
+
+	screened, err := screenStore.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := directStore.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(screened) != promoted || len(direct) != len(dec1) {
+		t.Fatalf("stores hold %d screened and %d direct entries, want %d and %d",
+			len(screened), len(direct), promoted, len(dec1))
+	}
+	byKey := map[store.Key]store.Entry{}
+	for _, e := range direct {
+		byKey[e.Key] = e
+	}
+	for _, got := range screened {
+		want, ok := byKey[got.Key]
+		if !ok || got.Status != want.Status || !bytes.Equal(got.Value, want.Value) || got.Error != want.Error {
+			t.Errorf("screened entry %+v differs from the direct run's %+v", got, want)
+		}
 	}
 }
 

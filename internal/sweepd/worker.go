@@ -24,9 +24,10 @@ type WorkerOptions struct {
 	Coordinator string
 	// Store, when non-empty, is the shared result-store directory: cells
 	// already on disk are served without simulating, and every completed
-	// cell is persisted for other workers and later sweeps. The store's
-	// rename-based writes give per-entry atomicity, so workers share the
-	// directory without the whole-sweep flock mcbench takes.
+	// cell is persisted for other workers and later sweeps. Each process
+	// appends to its own segment of the store, so workers share the
+	// directory without locks. The worker holds its store handle until
+	// Run returns; closing it then seals the worker's segment.
 	Store string
 	// Name labels the worker in coordinator logs.
 	Name string
@@ -51,7 +52,7 @@ type WorkerOptions struct {
 
 // Worker pulls cell leases from a coordinator, executes them through
 // experiments.Runner (store cache, fault injection, transient retries
-// included), and reports results. Safe for one Run call at a time.
+// included), and reports results. Run it once.
 type Worker struct {
 	opts   WorkerOptions
 	client *http.Client
@@ -200,8 +201,12 @@ func httpCode(err error) int {
 // Run registers and serves cell leases until ctx is canceled. Cells run
 // on Parallelism concurrent slots; a heartbeat goroutine renews every
 // in-flight lease and aborts runs whose lease the coordinator took away.
+// Run releases the worker's store handle when it returns.
 func (w *Worker) Run(ctx context.Context) error {
 	defer w.client.CloseIdleConnections()
+	if w.st != nil {
+		defer w.st.Close()
+	}
 	if err := w.register(ctx); err != nil {
 		return err
 	}
