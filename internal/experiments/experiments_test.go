@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -169,9 +170,13 @@ var testRunner = NewRunner(nil, Options{})
 
 // mustRun returns an experiment's clean tables at Quick scale, running
 // it on testRunner unless TestSerialParallelIdentical already has, and
-// checks that every table renders.
+// checks that every table renders. Under -short it skips an experiment
+// outside shortIDs rather than simulate one the short sweep never ran.
 func mustRun(t *testing.T, id string) []*report.Table {
 	t.Helper()
+	if testing.Short() && !slices.Contains(shortIDs, id) {
+		t.Skipf("%s is outside the -short sweep; the full pass (go test without -short) checks it", id)
+	}
 	e, ok := ByID(id)
 	if !ok {
 		t.Fatalf("no experiment %q", id)

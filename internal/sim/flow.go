@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 )
 
 // Resource is a capacity-limited element of the flow network: a memory
@@ -98,8 +101,7 @@ type Flow struct {
 	released  bool // returned to the arena; guards double release
 	label     string
 	seq       uint64
-	epoch     uint64 // visit stamp for component discovery
-	netIdx    int    // position in FlowNet.flows, for O(1) removal
+	epoch     uint64 // visit stamp for component discovery; fill restamps a flow it freezes
 	net       *FlowNet
 
 	// slots[k] is the index of path crossing k in path[k].flows, kept in
@@ -156,7 +158,7 @@ func (f *Flow) Done() bool { return f.done }
 // (Flow.Rate, Resource.BytesServed) flush on demand.
 type FlowNet struct {
 	eng        *Engine
-	flows      []*Flow // active flows, unordered (swap-delete)
+	flows      []*Flow // active flows in admission order (Start appends, completeFinished compacts)
 	lastSettle float64
 	gen        uint64 // invalidates scheduled completion events
 	seq        uint64 // flow admission order, for deterministic completion
@@ -173,31 +175,14 @@ type FlowNet struct {
 
 	// activeRes lists every resource with at least one active flow;
 	// the remaining slices are reusable scratch for component discovery,
-	// filling, and retirement. compFlows holds the discovered components
-	// back to back.
+	// filling, and retirement. compFlows holds the union of the
+	// discovered components.
 	activeRes []*Resource
 	compFlows []*Flow
-	resQueue  []*Resource
 	seeds     []*Flow
 	finished  []*Flow
 	fillRes   []*Resource
 	unfrozen  []*Flow
-}
-
-// addFlow registers f as active.
-func (n *FlowNet) addFlow(f *Flow) {
-	f.netIdx = len(n.flows)
-	n.flows = append(n.flows, f)
-}
-
-// removeFlow drops f from the active set by swap-delete.
-func (n *FlowNet) removeFlow(f *Flow) {
-	last := len(n.flows) - 1
-	moved := n.flows[last]
-	n.flows[f.netIdx] = moved
-	moved.netIdx = f.netIdx
-	n.flows[last] = nil
-	n.flows = n.flows[:last]
 }
 
 // dropActive removes r from the active-resource list by swap-delete.
@@ -237,78 +222,63 @@ func (n *FlowNet) settle() {
 	n.lastSettle = n.eng.now
 }
 
-// components discovers the connected component of every seed flow,
-// leaving them back to back in compFlows. Components are disjoint by
-// construction (a seed whose component was already discovered is
-// skipped), each sorted into admission order, and listed in first-seed
-// order. Duplicate seeds are tolerated.
+// components lists in compFlows, in admission order, the union of the
+// connected components (flows linked through shared resources) of the
+// seed flows, and stamps every flow and resource of it with a fresh
+// epoch. Duplicate seeds are tolerated. Max-min rates depend only on the
+// set, and each resource belongs to one component, so admission order
+// over the whole union fixes every resource's used-rate sum as a
+// per-component order would.
 func (n *FlowNet) components(seeds []*Flow) {
 	n.epoch++
 	ep := n.epoch
 	out := n.compFlows[:0]
-	queue := n.resQueue[:0]
 	for _, s := range seeds {
-		if s.epoch == ep {
-			continue
+		if s.epoch != ep {
+			s.epoch = ep
+			out = append(out, s)
 		}
-		start := len(out)
-		s.epoch = ep
-		out = append(out, s)
-		for _, r := range s.path {
-			if r.epoch != ep {
-				r.epoch = ep
-				queue = append(queue, r)
+	}
+	// out doubles as the breadth-first worklist.
+	for i := 0; i < len(out); i++ {
+		for _, r := range out[i].path {
+			if r.epoch == ep {
+				continue
 			}
-		}
-		for len(queue) > 0 {
-			r := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
+			r.epoch = ep
 			for _, fr := range r.flows {
-				f := fr.f
-				if f.epoch == ep {
-					continue
-				}
-				f.epoch = ep
-				out = append(out, f)
-				for _, r2 := range f.path {
-					if r2.epoch != ep {
-						r2.epoch = ep
-						queue = append(queue, r2)
-					}
+				if f := fr.f; f.epoch != ep {
+					f.epoch = ep
+					out = append(out, f)
 				}
 			}
 		}
-		// Discovery visits flows in swap-delete (arbitrary) order;
-		// admission order keeps every later pass (filling, used-rate
-		// refresh) deterministic.
-		sortFlowsBySeq(out[start:])
+	}
+	// Discovery order is arbitrary (crossing lists swap-delete). n.flows
+	// is already in admission order, so a union holding a large share of
+	// it is filtered out of n.flows, which is cheaper than sorting it.
+	if k := len(out); len(n.flows) <= k*bits.Len(uint(k)) {
+		out = out[:0]
+		for _, f := range n.flows {
+			if f.epoch == ep {
+				out = append(out, f)
+			}
+		}
+	} else if k > 1 {
+		slices.SortFunc(out, func(a, b *Flow) int { return cmp.Compare(a.seq, b.seq) })
 	}
 	n.compFlows = out
-	n.resQueue = queue[:0]
 }
 
-// sortFlowsBySeq orders flows by admission seq with an insertion sort:
-// components are typically small, and unlike sort.Slice this allocates
-// nothing on the settle path.
-func sortFlowsBySeq(fs []*Flow) {
-	for i := 1; i < len(fs); i++ {
-		f := fs[i]
-		j := i - 1
-		for j >= 0 && fs[j].seq > f.seq {
-			fs[j+1] = fs[j]
-			j--
-		}
-		fs[j+1] = f
-	}
-}
-
-// fill runs one progressive-filling pass over the components discovered
-// by the last components() call: every other flow's rate is unaffected.
-// compFlows concatenates the components, each sorted by admission seq,
-// which fixes every floating-point accumulation order the pass is
-// sensitive to (per-resource sums are component-local, and the shared
-// level accumulates order-independent minima) — the arithmetic the golden
-// trace hashes pin.
+// fill runs one progressive-filling pass over compFlows, the union the
+// last components() call listed: every other flow's rate is unaffected.
+// Each round's increment is a minimum, which no visiting order changes,
+// and the used-rate refresh walks compFlows in admission order, which
+// fixes each resource's floating-point sum: the arithmetic the golden
+// trace hashes pin. A round reads only the live resources (those
+// unfrozen flows still cross, active > 0) and the unfrozen flows, and
+// freezes through the crossing lists of the resources that saturate in
+// it, so a fill visits each crossing a constant number of times.
 func (n *FlowNet) fill() {
 	flows := n.compFlows
 	if len(flows) == 0 {
@@ -316,7 +286,7 @@ func (n *FlowNet) fill() {
 	}
 	n.epoch++
 	ep := n.epoch
-	res := n.fillRes[:0]
+	live := n.fillRes[:0]
 	for _, f := range flows {
 		f.rate = 0
 		for _, r := range f.path {
@@ -325,7 +295,7 @@ func (n *FlowNet) fill() {
 				r.avail = r.Cap
 				r.active = 0
 				r.usedRate = 0
-				res = append(res, r)
+				live = append(live, r)
 			}
 			r.active++
 		}
@@ -341,14 +311,17 @@ func (n *FlowNet) fill() {
 					inc = d
 				}
 			}
-			for _, r := range f.path {
-				if r.active > 0 {
-					if d := r.avail / float64(r.active); d < inc {
-						inc = d
-					}
+		}
+		kept := live[:0]
+		for _, r := range live {
+			if r.active > 0 {
+				kept = append(kept, r)
+				if d := r.avail / float64(r.active); d < inc {
+					inc = d
 				}
 			}
 		}
+		live = kept
 		if math.IsInf(inc, 1) {
 			// No constraint at all (flows with empty paths and no
 			// ceiling): they complete instantly; give them a huge rate.
@@ -361,37 +334,34 @@ func (n *FlowNet) fill() {
 			inc = 0
 		}
 		level += inc
-		// Charge resources and find newly frozen flows.
-		for _, r := range res {
+		// Charge the live resources, then freeze every flow crossing one
+		// that saturated. Freezing restamps a flow with ep.
+		for _, r := range live {
 			r.avail -= inc * float64(r.active)
 			if r.avail < 0 {
 				r.avail = 0
 			}
 		}
+		for _, r := range live {
+			if r.avail <= 1e-9*r.Cap {
+				for _, fr := range r.flows {
+					if fr.f.epoch != ep {
+						fr.f.freeze(ep)
+					}
+				}
+			}
+		}
 		next := unfrozen[:0]
 		for _, f := range unfrozen {
-			frozen := false
 			// Relative epsilon: a ceiling-limited increment can leave level
 			// one ulp short of the ceiling, which an absolute 1e-15 misses
 			// for large rates; the flow must still freeze or the safety
 			// break below abandons the pass with under-allocated rates.
-			if f.ceiling > 0 && level >= f.ceiling*(1-1e-12) {
-				frozen = true
-			}
-			if !frozen {
-				for _, r := range f.path {
-					if r.avail <= 1e-9*r.Cap {
-						frozen = true
-						break
-					}
-				}
+			if f.epoch != ep && f.ceiling > 0 && level >= f.ceiling*(1-1e-12) {
+				f.freeze(ep)
 			}
 			f.rate = level
-			if frozen {
-				for _, r := range f.path {
-					r.active--
-				}
-			} else {
+			if f.epoch != ep {
 				next = append(next, f)
 			}
 		}
@@ -411,8 +381,17 @@ func (n *FlowNet) fill() {
 			r.usedRate += f.rate
 		}
 	}
-	n.fillRes = res
+	n.fillRes = live
 	n.unfrozen = unfrozen[:0]
+}
+
+// freeze fixes f's rate for the rest of the fill stamped ep: f stops
+// counting against its path's resources.
+func (f *Flow) freeze(ep uint64) {
+	f.epoch = ep
+	for _, r := range f.path {
+		r.active--
+	}
 }
 
 // markDirty queues f's component for the next flush and invalidates any
@@ -492,43 +471,45 @@ func (n *FlowNet) completionCheck(gen uint64) {
 // the waiter wakeups it triggers.
 func (n *FlowNet) completeFinished() {
 	n.settle()
+	// One compaction pass splits n.flows in admission order, so the
+	// active list stays ordered and the finished flows retire (and wake
+	// their waiters) in admission order.
 	finished := n.finished[:0]
+	kept := 0
 	for _, f := range n.flows {
 		if f.remaining <= almostZero || math.IsInf(f.rate, 1) {
 			finished = append(finished, f)
+			continue
 		}
+		if len(finished) > 0 {
+			n.flows[kept] = f
+		}
+		kept++
 	}
-	// Process in admission order so downstream wakeups are deterministic
-	// regardless of the active set's swap-delete order.
-	sortFlowsBySeq(finished)
+	clear(n.flows[kept:])
+	n.flows = n.flows[:kept]
 	for _, f := range finished {
-		n.removeFlow(f)
 		for k, r := range f.path {
 			r.removeCrossing(f, k)
 		}
 		f.done = true
 		f.rate = 0
 	}
+	// Only components the finished flows crossed can change rates: seed
+	// the recompute with one surviving flow per resource they crossed,
+	// which stands for every flow crossing it (collected after removal so
+	// retired flows no longer bridge otherwise-disjoint components).
 	// Drained resources leave the active list immediately, before any new
 	// admission can re-append them: their used rate is stale (the refill
 	// below only touches surviving components), and a later settle must
 	// neither accrue it nor record it as a segment.
-	for _, f := range finished {
-		for _, r := range f.path {
-			if r.inActive && len(r.flows) == 0 {
-				n.dropActive(r)
-			}
-		}
-	}
-	// Only components the finished flows crossed can change rates: seed
-	// the recompute with the surviving flows sharing their resources
-	// (collected after removal so retired flows no longer bridge
-	// otherwise-disjoint components).
 	seeds := n.seeds[:0]
 	for _, f := range finished {
 		for _, r := range f.path {
-			for _, fr := range r.flows {
-				seeds = append(seeds, fr.f)
+			if len(r.flows) > 0 {
+				seeds = append(seeds, r.flows[0].f)
+			} else if r.inActive {
+				n.dropActive(r)
 			}
 		}
 	}
@@ -604,7 +585,7 @@ func (n *FlowNet) Start(label string, bytes float64, path []*Resource, ceiling f
 		}
 		f.slots = f.slotsSpill[:len(path)]
 	}
-	n.addFlow(f)
+	n.flows = append(n.flows, f)
 	for k, r := range path {
 		if r.net == nil {
 			r.net = n
