@@ -312,10 +312,12 @@ func TestIncrementalMatchesReference(t *testing.T) {
 	}
 }
 
-// benchFlows schedules staggered flows over a 16-resource ladder of link
-// resources; volume controls the offered load and therefore how many flows
-// overlap at once (it must keep the network below saturation, or the
-// backlog — and the component size — grows with b.N).
+// benchFlows admits staggered flows, one every microsecond, over a
+// 16-resource ladder of link resources; volume controls the offered load
+// and therefore how many flows overlap at once (it must keep the network
+// below saturation, or the backlog — and the component size — grows with
+// b.N). Each admission schedules the next, so the timed run carries no
+// backlog of b.N pending events for the heap and the GC.
 func benchFlows(b *testing.B, volume float64) {
 	e := NewEngine()
 	n := e.net
@@ -323,12 +325,16 @@ func benchFlows(b *testing.B, volume float64) {
 	for i := range res {
 		res[i] = NewResource(fmt.Sprintf("l%d", i), 1e9)
 	}
-	for i := 0; i < b.N; i++ {
-		start := float64(i) * 1e-6
+	i := 0
+	var admit func()
+	admit = func() {
 		lo := i % (len(res) - 4)
-		path := res[lo : lo+4]
-		e.At(start, func() { n.Start("x", volume, path, 0) })
+		n.Start("x", volume, res[lo:lo+4], 0)
+		if i++; i < b.N {
+			e.At(float64(i)*1e-6, admit)
+		}
 	}
+	e.At(0, admit)
 	b.ResetTimer()
 	e.Run()
 }

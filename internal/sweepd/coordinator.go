@@ -7,7 +7,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -218,6 +220,7 @@ type Coordinator struct {
 	workers    map[string]*workerState
 	domains    map[string]*domainState
 	nextWorker int
+	slots      int // cell slots of every registered worker
 	divergent  int
 	doneCells  int
 	finals     map[string]string // finalized cell id → fingerprint
@@ -489,12 +492,15 @@ func (c *Coordinator) signalLocked() {
 }
 
 // reapExpiredLocked re-queues (or, past the attempt budget, fails) every
-// leased cell whose worker stopped heartbeating, charging the expiry to
-// the worker's failure domain. The lease list is in expiry order, so
-// reaping stops at the first live lease. Callers hold c.mu.
+// leased cell whose worker stopped heartbeating, charging one expiry to
+// the failure domain of each worker whose leases lapsed: a worker that
+// dies holding a batch is one incident, however many cells it held. The
+// lease list is in expiry order, so reaping stops at the first live
+// lease. Callers hold c.mu.
 func (c *Coordinator) reapExpiredLocked() {
 	now := time.Now()
 	woke := false
+	var charged []string // workers charged in this reap
 	for e := c.leases.Front(); e != nil; e = c.leases.Front() {
 		st := e.Value.(*cellState)
 		if now.Before(st.expiry) {
@@ -502,7 +508,10 @@ func (c *Coordinator) reapExpiredLocked() {
 		}
 		id := st.asg.ID
 		c.opts.Logf("lease expired: cell %s attempt %d on worker %s", id, st.asg.Attempt, st.worker)
-		c.chargeDomainLocked(st.worker, now)
+		if !slices.Contains(charged, st.worker) {
+			charged = append(charged, st.worker)
+			c.chargeDomainLocked(st.worker, now)
+		}
 		if st.asg.Attempt >= c.opts.MaxAttempts {
 			res := resultFor(st.asg.Cell, 0, fmt.Errorf(
 				"sweepd: cell lease expired %d times (last worker %s); giving up", st.asg.Attempt, st.worker))
@@ -1005,46 +1014,57 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 // streamSweep owns one client connection: start event, settled results,
 // replay, then live completions and pings until the sweep is full or
-// the client leaves.
+// the client leaves. Each burst of events goes out with one flush.
 func (c *Coordinator) streamSweep(w http.ResponseWriter, r *http.Request, sw *sweepState, replay []CellResult, remaining int, ch chan CellResult) {
 	defer c.detach(sw, ch)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	emit := func(ev StreamEvent) bool {
-		if err := enc.Encode(ev); err != nil {
-			return false
+	var err error // the first write error: the client is gone
+	write := func(ev StreamEvent) {
+		if err == nil {
+			err = enc.Encode(ev)
 		}
-		if flusher != nil {
+	}
+	flush := func() bool {
+		if err == nil && flusher != nil {
 			flusher.Flush()
 		}
-		return true
+		return err == nil
 	}
-	if !emit(StreamEvent{Type: "start", Token: sw.token, PingMillis: c.opts.PingEvery.Milliseconds()}) {
-		return
-	}
+	write(StreamEvent{Type: "start", Token: sw.token, PingMillis: c.opts.PingEvery.Milliseconds()})
 	for i := range sw.settled {
-		if !emit(StreamEvent{Type: "cell", Cell: &sw.settled[i]}) {
-			return
-		}
+		write(StreamEvent{Type: "cell", Cell: &sw.settled[i]})
 	}
 	for i := range replay {
-		if !emit(StreamEvent{Type: "cell", Cell: &replay[i]}) {
-			return
-		}
+		write(StreamEvent{Type: "cell", Cell: &replay[i]})
+	}
+	if !flush() {
+		return
 	}
 	ping := time.NewTicker(c.opts.PingEvery)
 	defer ping.Stop()
+	var burst []CellResult
 	for remaining > 0 {
 		select {
 		case res := <-ch:
-			remaining--
-			if !emit(StreamEvent{Type: "cell", Cell: &res}) {
+			// Whatever else is queued, such as the rest of a batch
+			// completion, goes out in the same flush.
+			burst = append(burst[:0], res)
+			for len(ch) > 0 {
+				burst = append(burst, <-ch)
+			}
+			remaining -= len(burst)
+			for i := range burst {
+				write(StreamEvent{Type: "cell", Cell: &burst[i]})
+			}
+			if !flush() {
 				return // client gone; the sweep stays resumable
 			}
 		case <-ping.C:
-			if !emit(StreamEvent{Type: "ping"}) {
+			write(StreamEvent{Type: "ping"})
+			if !flush() {
 				return
 			}
 		case <-r.Context().Done():
@@ -1055,7 +1075,8 @@ func (c *Coordinator) streamSweep(w http.ResponseWriter, r *http.Request, sw *sw
 	sum := sw.sum
 	sum.Divergent = c.divergent
 	c.mu.Unlock()
-	emit(StreamEvent{Type: "done", Summary: &sum})
+	write(StreamEvent{Type: "done", Summary: &sum})
+	flush()
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -1081,6 +1102,8 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		id += "-" + c.instance
 	}
 	c.workers[id] = &workerState{name: req.Name, domain: domain, lastSeen: time.Now()}
+	// The cap keeps the sum of untrusted slot counts from overflowing.
+	c.slots += min(max(req.Parallelism, 1), math.MaxInt32)
 	ds := c.domains[domain]
 	if ds == nil {
 		ds = &domainState{}
@@ -1156,14 +1179,25 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 	if !c.knownWorker(w, req.Worker) {
 		return
 	}
-	writeJSON(w, c.leaseNext(r.Context(), req.Worker, req.WaitMillis))
+	writeJSON(w, c.leaseNext(r.Context(), req.Worker, req.WaitMillis, req.Batch))
 }
 
-// leaseNext long-polls for the worker's next cell for up to waitMillis
-// (capped at PollWait): it returns an assignment as soon as one is
-// queued, a retry hint while the worker's failure domain is
-// quarantined, and an empty response once the wait passes or ctx ends.
-func (c *Coordinator) leaseNext(ctx context.Context, worker string, waitMillis int64) PollResponse {
+// grantLocked sizes a lease by factoring: at most the cells the worker
+// asked for and at most ⌈queued / (2 × registered slots)⌉, so batches
+// shrink to single cells as the queue drains, but at least one. Callers
+// hold c.mu.
+func (c *Coordinator) grantLocked(asked int) int {
+	queued, slots := c.queue.len(), max(c.slots, 1)
+	return max(1, min(asked, (queued-1)/slots/2+1))
+}
+
+// leaseNext long-polls for the worker's next batch of up to batch cells
+// for up to waitMillis (capped at PollWait): as soon as a cell is queued
+// it leases as many of the queued cells as grantLocked allows, without
+// waiting for more. It returns a retry hint while the worker's failure
+// domain is quarantined, and an empty response once the wait passes or
+// ctx ends.
+func (c *Coordinator) leaseNext(ctx context.Context, worker string, waitMillis int64, batch int) PollResponse {
 	wait := time.Duration(waitMillis) * time.Millisecond
 	if wait <= 0 || wait > c.opts.PollWait {
 		wait = c.opts.PollWait
@@ -1176,12 +1210,21 @@ func (c *Coordinator) leaseNext(ctx context.Context, worker string, waitMillis i
 			c.mu.Unlock()
 			return PollResponse{RetryAfterMillis: q.Milliseconds() + 1}
 		}
-		asg := c.popLocked(worker)
+		var asgs []Assignment
+		for n := c.grantLocked(batch); len(asgs) < n; {
+			asg := c.popLocked(worker)
+			if asg == nil {
+				break
+			}
+			asgs = append(asgs, *asg)
+		}
 		wake := c.wake
 		c.mu.Unlock()
-		if asg != nil {
-			c.opts.Logf("leased cell %s attempt %d to %s", asg.ID, asg.Attempt, worker)
-			return PollResponse{Assignment: asg}
+		if len(asgs) > 0 {
+			for _, asg := range asgs {
+				c.opts.Logf("leased cell %s attempt %d to %s", asg.ID, asg.Attempt, worker)
+			}
+			return PollResponse{Assignment: &asgs[0], More: asgs[1:]}
 		}
 		remain := time.Until(deadline)
 		if remain <= 0 {
@@ -1199,8 +1242,8 @@ func (c *Coordinator) leaseNext(ctx context.Context, worker string, waitMillis i
 	}
 }
 
-// handleComplete finalizes a reported cell and, when the request sets
-// WaitMillis, leases the worker's next cell in the same reply.
+// handleComplete finalizes the reported cells and, when the request sets
+// WaitMillis, leases the worker's next batch in the same reply.
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
 	if !decode(w, r, &req) {
@@ -1210,10 +1253,12 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.mu.Lock()
-	c.completeLocked(req)
+	for _, rep := range req.reports() {
+		c.completeLocked(req.Worker, rep)
+	}
 	c.mu.Unlock()
 	if req.WaitMillis > 0 {
-		writeJSON(w, c.leaseNext(r.Context(), req.Worker, req.WaitMillis))
+		writeJSON(w, c.leaseNext(r.Context(), req.Worker, req.WaitMillis, req.Batch))
 		return
 	}
 	writeJSON(w, struct{}{})
@@ -1221,24 +1266,24 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 
 // completeLocked applies one worker's result for a cell. Callers hold
 // c.mu.
-func (c *Coordinator) completeLocked(req CompleteRequest) {
+func (c *Coordinator) completeLocked(worker string, rep Report) {
 	// Any completed cell is evidence the domain works; reset its expiry
 	// streak and backoff.
-	if ws, ok := c.workers[req.Worker]; ok {
+	if ws, ok := c.workers[worker]; ok {
 		if ds := c.domains[ws.domain]; ds != nil {
 			ds.expiries = 0
 			ds.backoff = 0
 		}
 	}
-	st, ok := c.cells[req.ID]
+	st, ok := c.cells[rep.ID]
 	if !ok {
 		// State evicted (sweep finished or abandoned); the worker already
 		// persisted the result to the shared store, so nothing is lost —
 		// but a finalized fingerprint still gets the determinism check.
-		if fp, done := c.finals[req.ID]; done && fp != req.Result.Fingerprint {
+		if fp, done := c.finals[rep.ID]; done && fp != rep.Result.Fingerprint {
 			c.divergent++
 			c.opts.Logf("DIVERGENT cell %s: finalized %s vs %s from %s",
-				req.ID, fp, req.Result.Fingerprint, req.Worker)
+				rep.ID, fp, rep.Result.Fingerprint, worker)
 		}
 		return
 	}
@@ -1246,20 +1291,20 @@ func (c *Coordinator) completeLocked(req CompleteRequest) {
 		// A re-assigned lease raced its original worker: first result
 		// won. Cross-check determinism — equal cells must produce equal
 		// fingerprints on any worker.
-		if st.result != nil && st.result.Fingerprint != req.Result.Fingerprint {
+		if st.result != nil && st.result.Fingerprint != rep.Result.Fingerprint {
 			c.divergent++
 			c.opts.Logf("DIVERGENT cell %s: %s from %s vs %s from %s",
-				req.ID, st.result.Fingerprint, st.result.Worker, req.Result.Fingerprint, req.Worker)
+				rep.ID, st.result.Fingerprint, st.result.Worker, rep.Result.Fingerprint, worker)
 		}
 		return
 	}
 	// Every reported result is final, failures included: a worker has
 	// already spent the sweep's retry budget on transient ones, and the
 	// seeded fault draws repeat the same outcome on any worker.
-	res := req.Result
-	res.Worker = req.Worker
-	res.Attempt = req.Attempt
-	c.finalizeLocked(req.ID, st, res)
+	res := rep.Result
+	res.Worker = worker
+	res.Attempt = rep.Attempt
+	c.finalizeLocked(rep.ID, st, res)
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -165,7 +166,10 @@ func TestDomainQuarantineAndRecovery(t *testing.T) {
 		RegisterRequest{SchemaVersion: schema.Version, Name: "flaky", Domain: "rack9"})
 	w := resp.Worker
 
-	// Lease both cells and never heartbeat: two expiries = QuarantineAfter.
+	// Lease both cells and never heartbeat. Leases of one worker that
+	// lapse in one reap count as one expiry, so the quarantine trips once
+	// leases have lapsed in two reaps (QuarantineAfter); the loop below
+	// lets re-leased cells lapse again until it does.
 	if a := pollUntil(t, srv.URL, w, 5*time.Second); a == nil {
 		t.Fatal("no first assignment")
 	}
@@ -356,14 +360,25 @@ func (tc *tcpCoordinator) close() {
 // guarantee end to end: SIGKILL the coordinator mid-sweep, restart it
 // from the journal on the same address, and the in-flight client sweep
 // completes byte-identical to serial with every cell simulated at most
-// once. A screened sweep survives the restart too: restore re-screens
-// it rather than journaling its settled cells, so its table must equal
-// RunScreened's serial one with only the promoted cells simulated.
+// once. In the direct case the worker has a slot per cell, the
+// coordinator dies once every slot runs one, and all of them find the
+// registration gone after the restart: the worker re-registers once,
+// so the restarted coordinator counts its four slots once. The batched
+// case kills the coordinator while the worker is inside a batch, whose
+// report then reaches no coordinator that knows the worker. A screened
+// sweep survives the restart too: restore re-screens it rather than
+// journaling its settled cells, so its table must equal RunScreened's
+// serial one with only the promoted cells simulated.
 func TestCoordinatorCrashRestartResumesSweep(t *testing.T) {
 	g := e2eGrid()
 	t.Run("direct", func(t *testing.T) {
 		golden, _ := serialGolden(t, g)
-		crashRestartSweep(t, g, false, golden, len(g.Cells()))
+		crashRestartSweep(t, g, false, golden, len(g.Cells()), len(g.Cells()), len(g.Cells()), 250*time.Millisecond)
+	})
+	t.Run("batched", func(t *testing.T) {
+		g := manyCells(8)
+		golden, _ := serialGolden(t, g)
+		crashRestartSweep(t, g, false, golden, len(g.Cells()), 3, 1, 30*time.Millisecond)
 	})
 	t.Run("screened", func(t *testing.T) {
 		r := experiments.NewRunner(context.Background(), experiments.Options{Parallelism: 1})
@@ -372,15 +387,17 @@ func TestCoordinatorCrashRestartResumesSweep(t *testing.T) {
 		if sum.Promoted == 0 || sum.Screened == 0 {
 			t.Fatalf("screening %v: %+v, want both promoted and screened cells", g, sum)
 		}
-		crashRestartSweep(t, g, true, golden, sum.Promoted)
+		crashRestartSweep(t, g, true, golden, sum.Promoted, 1, 1, 250*time.Millisecond)
 	})
 }
 
-// crashRestartSweep submits g, kills the coordinator once a cell is
-// leased, restarts it on the same address and checks the completed
-// sweep against the serial golden results, with the worker simulating
-// exactly the given number of cells.
-func crashRestartSweep(t *testing.T, g Grid, screen bool, golden map[string]CellResult, simulated int) {
+// crashRestartSweep submits g, kills the coordinator when the worker
+// (with the given number of slots) starts its killAt-th cell, restarts
+// it on the same address and checks the completed sweep against the
+// serial golden results, with the worker simulating exactly the given
+// number of cells and registered once with the restarted coordinator.
+// The worker stalls before every cell.
+func crashRestartSweep(t *testing.T, g Grid, screen bool, golden map[string]CellResult, simulated, killAt, slots int, stall time.Duration) {
 	stateDir := t.TempDir()
 	storeDir := t.TempDir()
 	coordOpts := CoordinatorOptions{
@@ -395,14 +412,24 @@ func crashRestartSweep(t *testing.T, g Grid, screen bool, golden map[string]Cell
 
 	// The worker dawdles before each cell so the sweep is guaranteed to
 	// be mid-flight when the coordinator dies.
-	firstCell := make(chan struct{}, 1)
-	w, _ := startE2EWorker(t, base, storeDir, "a", func(Assignment) {
-		select {
-		case firstCell <- struct{}{}:
-		default:
-		}
-		time.Sleep(250 * time.Millisecond)
+	reached := make(chan struct{})
+	var cells atomic.Int32
+	w, err := NewWorker(WorkerOptions{
+		Coordinator: base, Store: storeDir, Name: "a", Parallelism: slots,
+		beforeCell: func(Assignment) {
+			if cells.Add(1) == int32(killAt) {
+				close(reached)
+			}
+			time.Sleep(stall)
+		},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, stopWorker := context.WithCancel(context.Background())
+	stopped := make(chan struct{})
+	go func() { defer close(stopped); w.Run(ctx) }()
+	defer func() { stopWorker(); <-stopped }()
 
 	var mu sync.Mutex
 	results := map[string]CellResult{}
@@ -420,8 +447,8 @@ func crashRestartSweep(t *testing.T, g Grid, screen bool, golden map[string]Cell
 		errc <- err
 	}()
 
-	<-firstCell // a cell is leased: the sweep is live
-	tc.kill()   // simulated SIGKILL: journal unflushed, connections severed
+	<-reached // a cell is leased: the sweep is live
+	tc.kill() // simulated SIGKILL: journal unflushed, connections severed
 	time.Sleep(150 * time.Millisecond)
 	tc2, _, err := startTCPCoordinator(addr, coordOpts)
 	if err != nil {
@@ -449,6 +476,12 @@ func crashRestartSweep(t *testing.T, g Grid, screen bool, golden map[string]Cell
 		}
 	}
 	mu.Unlock()
+	tc2.coord.mu.Lock()
+	registered, counted := len(tc2.coord.workers), tc2.coord.slots
+	tc2.coord.mu.Unlock()
+	if registered != 1 || counted != slots {
+		t.Errorf("restarted coordinator has %d registrations with %d slots, want 1 with %d", registered, counted, slots)
+	}
 	// Zero re-simulation: cells finalized before the crash were restored
 	// from the journal, and cells completed during the outage re-lease
 	// into store hits; either way the worker simulates each cell once.

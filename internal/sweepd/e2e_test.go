@@ -123,57 +123,96 @@ func TestDistributedSweepMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestWorkerKilledMidCellReassigned: worker "a" dies at the start of
+// one of its cells, and only then does worker "b" appear. In the
+// first-cell case "a" dies on its first, lone cell. In the mid-batch
+// case it dies on its third cell, the second of a batch: on its way out
+// it reports the cell it finished, and the cell it was running and the
+// batch's unstarted cells expire and re-lease to "b" at attempt 2.
+// Either way the table is byte-identical to the serial one, and under
+// the default quarantine threshold the workers' shared domain is never
+// quarantined: the leases "a" leaves behind lapse together and count as
+// one expiry, however many cells its batch held.
 func TestWorkerKilledMidCellReassigned(t *testing.T) {
-	g := e2eGrid()
-	golden, goldenTable := serialGolden(t, g)
+	for _, tc := range []struct {
+		name   string
+		grid   Grid
+		lease  time.Duration
+		killAt int // "a" dies at the start of this many-th cell
+	}{
+		{"first-cell", e2eGrid(), 150 * time.Millisecond, 1},
+		{"mid-batch", manyCells(8), 600 * time.Millisecond, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.grid
+			golden, goldenTable := serialGolden(t, g)
+			_, srv := startCoordinator(t, CoordinatorOptions{Lease: tc.lease})
+			storeDir := t.TempDir()
 
-	_, srv := startCoordinator(t, CoordinatorOptions{Lease: 150 * time.Millisecond})
-	storeDir := t.TempDir()
+			var started []Assignment // cells "a" began, in order
+			killed := make(chan struct{})
+			var kill context.CancelFunc
+			_, kill = startE2EWorker(t, srv.URL, storeDir, "a", func(asg Assignment) {
+				if started = append(started, asg); len(started) == tc.killAt {
+					kill()
+					close(killed)
+				}
+			})
 
-	// Worker "a" dies the instant it receives its first cell — before
-	// simulating or reporting anything.
-	killed := make(chan Assignment, 1)
-	var kill context.CancelFunc
-	var once sync.Once
-	_, kill = startE2EWorker(t, srv.URL, storeDir, "a", func(asg Assignment) {
-		once.Do(func() {
-			killed <- asg
-			kill()
+			sumc, resc, errc := submitAsync(t, srv.URL, SweepRequest{SchemaVersion: schema.Version, Grid: g})
+			select {
+			case <-killed:
+			case <-time.After(5 * time.Second):
+				t.Fatal("worker a never reached the cell it dies on")
+			}
+
+			// Only now does the surviving worker appear; the dead worker's
+			// leases must expire and its cells re-lease here.
+			startE2EWorker(t, srv.URL, storeDir, "b", nil)
+
+			sum := <-sumc
+			results := <-resc
+			if err := <-errc; err != nil {
+				t.Fatal(err)
+			}
+			if sum.Errors != 0 || sum.Divergent != 0 {
+				t.Fatalf("summary = %+v, want clean completion after worker death", sum)
+			}
+			if got := Table(g, results).Text(); got != goldenTable {
+				t.Errorf("post-crash table differs from serial:\n--- distributed\n%s--- serial\n%s", got, goldenTable)
+			}
+			for k, want := range golden {
+				if results[k].Fingerprint != want.Fingerprint {
+					t.Errorf("cell %s fingerprint %s != serial %s", k, results[k].Fingerprint, want.Fingerprint)
+				}
+			}
+			released := 0
+			for k, res := range results {
+				finished := false
+				for _, asg := range started[:tc.killAt-1] {
+					finished = finished || asg.Cell.Key() == k
+				}
+				switch {
+				case finished && (res.Worker != "w1" || res.Attempt != 1):
+					t.Errorf("cell %s, finished before the kill, ended as %+v, want worker w1 at attempt 1", k, res)
+				case !finished && res.Worker != "w2":
+					t.Errorf("cell %s ended as %+v, want worker w2", k, res)
+				case res.Attempt == 2:
+					released++
+				}
+			}
+			if res := results[started[tc.killAt-1].Cell.Key()]; res.Attempt != 2 {
+				t.Errorf("killed cell finished as %+v, want worker w2 at attempt 2", res)
+			}
+			if tc.killAt > 1 && released < 3 {
+				t.Errorf("%d cells re-leased at attempt 2, want the killed cell and at least two unstarted ones of its batch", released)
+			}
+			for _, d := range getStatus(t, srv.URL).Domains {
+				if d.Quarantines != 0 {
+					t.Errorf("domain %+v was quarantined after one worker died", d)
+				}
+			}
 		})
-	})
-
-	sumc, resc, errc := submitAsync(t, srv.URL, SweepRequest{SchemaVersion: schema.Version, Grid: g})
-
-	var dead Assignment
-	select {
-	case dead = <-killed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("worker a never received a cell")
-	}
-
-	// Only now does the surviving worker appear; the dead worker's lease
-	// must expire and its cell re-lease here.
-	startE2EWorker(t, srv.URL, storeDir, "b", nil)
-
-	sum := <-sumc
-	results := <-resc
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-	if sum.Errors != 0 || sum.Divergent != 0 {
-		t.Fatalf("summary = %+v, want clean completion after worker death", sum)
-	}
-	if got := Table(g, results).Text(); got != goldenTable {
-		t.Errorf("post-crash table differs from serial:\n--- distributed\n%s--- serial\n%s", got, goldenTable)
-	}
-	for k, want := range golden {
-		if results[k].Fingerprint != want.Fingerprint {
-			t.Errorf("cell %s fingerprint %s != serial %s", k, results[k].Fingerprint, want.Fingerprint)
-		}
-	}
-	res := results[dead.Cell.Key()]
-	if res.Worker != "w2" || res.Attempt != 2 {
-		t.Errorf("killed cell finished as %+v, want worker w2 at attempt 2", res)
 	}
 }
 

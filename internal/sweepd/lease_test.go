@@ -20,7 +20,7 @@ import (
 
 // Lease bookkeeping and the one-request protocol: a completion that
 // sets wait_millis carries the worker's next lease, leases stay in
-// expiry order, and a busy worker slot costs one request per cell over
+// expiry order, and a busy worker slot costs one request per batch over
 // a kept-alive connection.
 
 // queueSweep registers a sweep over g in-package, as a submission does,
@@ -198,7 +198,7 @@ func TestCompleteLeasesNextCell(t *testing.T) {
 	checkCellStates(t, c)
 
 	t0 := time.Now()
-	if resp := complete(a2.ID, a2.Cell, 50); resp != (PollResponse{}) {
+	if resp := complete(a2.ID, a2.Cell, 50); resp.Assignment != nil || resp.More != nil || resp.RetryAfterMillis != 0 {
 		t.Errorf("completion with nothing queued: reply %+v, want empty", resp)
 	}
 	if waited := time.Since(t0); waited < 50*time.Millisecond {
@@ -290,18 +290,44 @@ func TestWorkerHonorsRetryAfterInCompletion(t *testing.T) {
 	}
 }
 
-// countingTransport counts requests per URL path.
+// countingTransport counts requests per URL path and records how many
+// cells each completion reports.
 type countingTransport struct {
-	base   http.RoundTripper
-	mu     sync.Mutex
-	byPath map[string]int
+	base    http.RoundTripper
+	mu      sync.Mutex
+	byPath  map[string]int
+	reports []int
 }
 
 func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	n := 0
+	if req.URL.Path == PathComplete {
+		body, err := io.ReadAll(req.Body)
+		if err != nil {
+			return nil, err
+		}
+		req.Body.Close()
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		var cr CompleteRequest
+		if err := json.Unmarshal(body, &cr); err != nil {
+			return nil, err
+		}
+		n = len(cr.reports())
+	}
 	c.mu.Lock()
 	c.byPath[req.URL.Path]++
+	if n > 0 {
+		c.reports = append(c.reports, n)
+	}
 	c.mu.Unlock()
 	return c.base.RoundTrip(req)
+}
+
+// batches returns the number of cells each completion reported.
+func (c *countingTransport) batches() []int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]int(nil), c.reports...)
 }
 
 func (c *countingTransport) count(path string) int {
@@ -311,12 +337,15 @@ func (c *countingTransport) count(path string) int {
 }
 
 // TestSweepTraffic: a real worker runs a 48-cell sweep with one request
-// per cell — every completion carries the slot's next lease, so a slot
-// polls only when it idles — and over kept-alive connections: one per
-// slot, the heartbeat's and the client stream's at most. The first case
-// passes the counting transport as the worker's Client; the second
-// counts through the transport NewWorker builds, whose idle pool must
-// hold a connection for every slot.
+// per batch — every completion reports a batch and carries the slot's
+// next lease, so a slot polls only when it idles — and over kept-alive
+// connections: one per slot, the heartbeat's and the client stream's at
+// most. Cells are fast against the default lease, so each slot asks for
+// maxBatch cells after its first lone cell, and the completions number
+// at most the slots plus the grants factoring makes from 48 queued
+// cells. The first case passes the counting transport as the worker's
+// Client; the second counts through the transport NewWorker builds,
+// whose idle pool must hold a connection for every slot.
 func TestSweepTraffic(t *testing.T) {
 	g := Grid{Workloads: []string{"stream", "daxpy"}, Systems: []string{"tiger"}, Ranks: []int{1, 2, 3, 4},
 		Schemes: []string{"default", "localalloc", "membind", "interleave", "2mpi-localalloc", "2mpi-membind"},
@@ -372,8 +401,12 @@ func TestSweepTraffic(t *testing.T) {
 			if got := Table(g, results).Text(); got != goldenTable {
 				t.Errorf("table differs from serial:\n--- distributed\n%s--- serial\n%s", got, goldenTable)
 			}
-			if got := ct.count(PathComplete); got != n {
-				t.Errorf("%d completions for %d cells", got, n)
+			grants := 0
+			for q := n; q > 0; q -= factoringGrant(maxBatch, q, tc.slots) {
+				grants++
+			}
+			if got := ct.count(PathComplete); got > tc.slots+grants {
+				t.Errorf("%d completions for %d cells on %d slots, want at most %d", got, n, tc.slots, tc.slots+grants)
 			}
 			if got := ct.count(PathPoll); got > 2*tc.slots {
 				t.Errorf("%d polls from %d slots, want at most %d", got, tc.slots, 2*tc.slots)
@@ -387,9 +420,9 @@ func TestSweepTraffic(t *testing.T) {
 
 // TestShortLeaseIdleWorkerLosesNoLease: with a 60ms lease the worker
 // heartbeats every 20ms, also while its slot idles in the wait of a
-// completion that asks for the next lease. The finished cell has left
-// the in-flight set by then, so no heartbeat names it and no lease is
-// reported lost.
+// completion that asks for the next batch. The reported cells left the
+// heartbeat set when that completion was sent, so no heartbeat names
+// them and no lease is reported lost.
 func TestShortLeaseIdleWorkerLosesNoLease(t *testing.T) {
 	g := e2eGrid()
 	_, goldenTable := serialGolden(t, g)
@@ -431,32 +464,56 @@ func TestShortLeaseIdleWorkerLosesNoLease(t *testing.T) {
 }
 
 // FuzzWorkerRequests drives the worker endpoints in-process with
-// arbitrary bodies: one registered worker, a two-cell sweep with one
-// cell leased (its lease already lapsed when expire is set), and a
-// few-millisecond poll window. Whatever the body, the reply is 200, 400
-// or 404, and every cell stays in exactly one state.
+// arbitrary bodies: two registered one-slot workers, a twelve-cell sweep
+// with one cell leased to each (both leases already lapsed when expire
+// is set), and a few-millisecond poll window. Whatever the body, the
+// reply is 200, 400 or 404; every cell stays in exactly one state and is
+// finalized at most once; and a reply leases distinct cells to the
+// asking worker, no more than it asked for (at least one) and than
+// factoring allows over the cells not yet done.
 func FuzzWorkerRequests(f *testing.F) {
-	paths := []string{PathPoll, PathComplete, PathHeartbeat}
-	g := rankedGrid("stream", 1, 2)
+	paths := []string{PathPoll, PathComplete, PathHeartbeat, PathRegister}
+	g := manyCells(12)
 	cells := g.Cells()
-	leasedID, queuedID := cells[0].Key(), cells[1].Key()
+	leasedID, otherID, queuedID := cells[0].Key(), cells[1].Key(), cells[2].Key()
 	ok := CellResult{Cell: cells[0], Status: StatusOK, Seconds: 1.5, Simulated: true}
 	ok.Fingerprint = Fingerprint(ok)
-	failed := CellResult{Cell: cells[1], Status: StatusError, Error: "injected"}
+	okOther := CellResult{Cell: cells[1], Status: StatusOK, Seconds: 2.5, Simulated: true}
+	okOther.Fingerprint = Fingerprint(okOther)
+	failed := CellResult{Cell: cells[2], Status: StatusError, Error: "injected"}
 	failed.Fingerprint = Fingerprint(failed)
+	v := schema.Version
 	seeds := []struct {
 		endpoint uint8
 		req      any
 	}{
 		{0, PollRequest{Worker: "w1", WaitMillis: 1}},
 		{0, PollRequest{Worker: "w9"}},
+		{0, PollRequest{Worker: "w1", WaitMillis: 1, Batch: 4}},
+		{0, PollRequest{Worker: "w1", WaitMillis: 1, Batch: 0}},
+		{0, PollRequest{Worker: "w1", WaitMillis: 1, Batch: -3}},
+		{0, PollRequest{Worker: "w1", WaitMillis: 1, Batch: 1 << 40}},
 		{1, CompleteRequest{Worker: "w1", ID: leasedID, Attempt: 1, Result: ok, WaitMillis: 1}},
 		{1, CompleteRequest{Worker: "w1", ID: leasedID, Attempt: 1, Result: ok}},
 		{1, CompleteRequest{Worker: "w1", ID: leasedID, Attempt: 1, Result: failed, WaitMillis: 1}},
 		{1, CompleteRequest{Worker: "w1", ID: queuedID, Result: failed, WaitMillis: 1}},
 		{1, CompleteRequest{Worker: "w1", ID: queuedID, Result: ok, WaitMillis: 1}},
 		{1, CompleteRequest{Worker: "w1", ID: queuedID, Result: ok}},
-		{2, HeartbeatRequest{Worker: "w1", IDs: []string{leasedID, queuedID, "nope", leasedID}}},
+		// Batch completions: a cell named twice, with a different result
+		// the second time; a cell leased to the other worker; a queued
+		// cell; and batch sizes of 0, below 0 and far above the queue.
+		{1, CompleteRequest{Worker: "w1", ID: leasedID, Attempt: 1, Result: ok, WaitMillis: 1, Batch: 8,
+			More: []Report{{ID: leasedID, Attempt: 1, Result: ok}, {ID: leasedID, Attempt: 1, Result: failed}}}},
+		{1, CompleteRequest{Worker: "w1", ID: leasedID, Attempt: 1, Result: ok, WaitMillis: 1, Batch: 8,
+			More: []Report{{ID: otherID, Attempt: 1, Result: okOther}}}},
+		{1, CompleteRequest{Worker: "w1", ID: leasedID, Attempt: 1, Result: ok, WaitMillis: 1, Batch: 8,
+			More: []Report{{ID: queuedID, Result: failed}, {ID: "nope", Result: ok}}}},
+		{1, CompleteRequest{Worker: "w1", ID: leasedID, Attempt: 1, Result: ok, WaitMillis: 1, Batch: 0}},
+		{1, CompleteRequest{Worker: "w1", ID: leasedID, Attempt: 1, Result: ok, WaitMillis: 1, Batch: -1}},
+		{1, CompleteRequest{Worker: "w1", ID: leasedID, Attempt: 1, Result: ok, WaitMillis: 1, Batch: 1 << 62}},
+		{2, HeartbeatRequest{Worker: "w1", IDs: []string{leasedID, queuedID, "nope", leasedID, otherID}}},
+		{3, RegisterRequest{SchemaVersion: v, Parallelism: -2}},
+		{3, RegisterRequest{SchemaVersion: v, Parallelism: 1 << 62}},
 	}
 	for _, s := range seeds {
 		body, err := json.Marshal(s.req)
@@ -482,21 +539,21 @@ func FuzzWorkerRequests(f *testing.F) {
 		// covers the same code on every run.
 		c.Close()
 		h := c.Handler()
-		reg, _ := json.Marshal(RegisterRequest{SchemaVersion: schema.Version, Name: "fuzz"})
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathRegister, bytes.NewReader(reg)))
-		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"w1"`) {
-			t.Fatalf("register: %d %s", rec.Code, rec.Body)
+		for _, w := range []string{"w1", "w2"} {
+			if id := registerAs(t, h, 1); id != w {
+				t.Fatalf("registered %s, want %s", id, w)
+			}
 		}
 		queueSweep(t, c, "sfuzz", g)
 		c.mu.Lock()
-		asg := c.popLocked("w1")
+		a1, a2 := c.popLocked("w1"), c.popLocked("w2")
+		slots, notDone := c.slots, len(cells)
 		c.mu.Unlock()
-		if asg == nil || asg.ID != leasedID {
-			t.Fatalf("pre-lease = %+v, want cell %s", asg, leasedID)
+		if a1 == nil || a1.ID != leasedID || a2 == nil || a2.ID != otherID {
+			t.Fatalf("pre-leases = %+v and %+v, want cells %s and %s", a1, a2, leasedID, otherID)
 		}
 
-		rec = httptest.NewRecorder()
+		rec := httptest.NewRecorder()
 		path := paths[int(endpoint)%len(paths)]
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 		switch rec.Code {
@@ -505,5 +562,43 @@ func FuzzWorkerRequests(f *testing.F) {
 			t.Errorf("POST %s: status %d", path, rec.Code)
 		}
 		checkCellStates(t, c)
+
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		done := 0
+		for _, st := range c.cells {
+			if st.state == cellDone {
+				done++
+			}
+		}
+		if c.doneCells != done {
+			t.Errorf("%d finalizations for %d done cells", c.doneCells, done)
+		}
+		if rec.Code != http.StatusOK || (path != PathPoll && path != PathComplete) {
+			return
+		}
+		var probe struct {
+			Worker string `json:"worker"`
+			Batch  int    `json:"batch"`
+		}
+		json.NewDecoder(bytes.NewReader(body)).Decode(&probe)
+		var resp PollResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("reply %s: %v", rec.Body, err)
+		}
+		batch := resp.batch()
+		if limit := factoringGrant(max(probe.Batch, 1), notDone, slots); len(batch) > limit {
+			t.Errorf("leased %d cells, want at most %d (asked %d, %d not done, %d slots)",
+				len(batch), limit, probe.Batch, notDone, slots)
+		}
+		seen := map[string]bool{}
+		for _, a := range batch {
+			st := c.cells[a.ID]
+			if seen[a.ID] || st == nil || st.state != cellLeased || st.worker != probe.Worker || st.asg.Attempt != a.Attempt {
+				t.Errorf("reply leases cell %s at attempt %d, which is not leased to %s at that attempt (or is leased twice)",
+					a.ID, a.Attempt, probe.Worker)
+			}
+			seen[a.ID] = true
+		}
 	})
 }

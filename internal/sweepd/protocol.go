@@ -161,11 +161,14 @@ type Summary struct {
 // the failure domain the worker shares fate with (host, rack, zone):
 // repeated lease expiries across a domain's workers quarantine the
 // whole domain with exponential backoff instead of re-leasing cells
-// into it. Empty means the shared "default" domain.
+// into it. Empty means the shared "default" domain. Parallelism is how
+// many cells the worker runs at once (absent means 1); the coordinator
+// sizes batch leases by the slots of all registered workers.
 type RegisterRequest struct {
 	SchemaVersion int    `json:"schema_version"`
 	Name          string `json:"name,omitempty"`
 	Domain        string `json:"domain,omitempty"`
+	Parallelism   int    `json:"parallelism,omitempty"`
 }
 
 // RegisterResponse assigns the worker its ID and the lease duration it
@@ -175,10 +178,12 @@ type RegisterResponse struct {
 	LeaseMillis int64  `json:"lease_millis"`
 }
 
-// PollRequest asks for one cell lease, long-polling up to WaitMillis.
+// PollRequest asks for a lease of up to Batch cells (absent or below 1
+// means one), long-polling up to WaitMillis.
 type PollRequest struct {
 	Worker     string `json:"worker"`
 	WaitMillis int64  `json:"wait_millis,omitempty"`
+	Batch      int    `json:"batch,omitempty"`
 }
 
 // Assignment is one leased cell: the spec plus the sweep-level fault
@@ -199,25 +204,50 @@ type Assignment struct {
 	Spec json.RawMessage `json:"spec,omitempty"`
 }
 
-// PollResponse carries at most one assignment; nil means "no work yet,
+// PollResponse carries a leased batch: its first cell in Assignment and
+// the rest, in lease order, in More. No assignment means "no work yet,
 // poll again". RetryAfterMillis, when set, means the worker's failure
 // domain is quarantined: the worker must not poll again for that long.
 // It is also the reply to a CompleteRequest that sets WaitMillis.
 type PollResponse struct {
-	Assignment       *Assignment `json:"assignment,omitempty"`
-	RetryAfterMillis int64       `json:"retry_after_millis,omitempty"`
+	Assignment       *Assignment  `json:"assignment,omitempty"`
+	More             []Assignment `json:"more,omitempty"`
+	RetryAfterMillis int64        `json:"retry_after_millis,omitempty"`
 }
 
-// CompleteRequest reports a finished cell. With WaitMillis set the
-// request also asks for the worker's next lease: the coordinator
-// finalizes the result, long-polls as PollRequest does, and replies with
-// a PollResponse. Without it the reply is an empty object.
+// batch returns every assignment the response carries, in lease order.
+func (r *PollResponse) batch() []Assignment {
+	if r.Assignment == nil {
+		return nil
+	}
+	return append([]Assignment{*r.Assignment}, r.More...)
+}
+
+// Report is one finished cell of a CompleteRequest.
+type Report struct {
+	ID      string     `json:"id"`
+	Attempt int        `json:"attempt"`
+	Result  CellResult `json:"result"`
+}
+
+// CompleteRequest reports finished cells: the first in ID, Attempt and
+// Result, the rest of a batch in More. With WaitMillis set the request
+// also asks for the worker's next lease of up to Batch cells: the
+// coordinator finalizes the results, long-polls as PollRequest does, and
+// replies with a PollResponse. Without it the reply is an empty object.
 type CompleteRequest struct {
 	Worker     string     `json:"worker"`
 	ID         string     `json:"id"`
 	Attempt    int        `json:"attempt"`
 	Result     CellResult `json:"result"`
+	More       []Report   `json:"more,omitempty"`
 	WaitMillis int64      `json:"wait_millis,omitempty"`
+	Batch      int        `json:"batch,omitempty"`
+}
+
+// reports returns every result the request carries, in batch order.
+func (r *CompleteRequest) reports() []Report {
+	return append([]Report{{ID: r.ID, Attempt: r.Attempt, Result: r.Result}}, r.More...)
 }
 
 // HeartbeatRequest renews the worker's leases on the named cells.

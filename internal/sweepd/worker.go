@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -46,7 +47,7 @@ type WorkerOptions struct {
 	Logf func(format string, args ...any)
 
 	// beforeCell, when non-nil, runs before each assignment executes;
-	// tests use it to stall a worker so its lease expires mid-cell.
+	// tests use it to stall or stop a worker mid-cell or mid-batch.
 	beforeCell func(Assignment)
 }
 
@@ -65,7 +66,10 @@ type Worker struct {
 	mu          sync.Mutex
 	id          string
 	leaseMillis int64
-	inflight    map[string]context.CancelFunc // leased cell id -> abort
+	inflight    map[string]context.CancelCauseFunc // leased, unreported cell id -> abort
+	// regMu serializes those renewals, so the worker registers once per
+	// restart however many of its slots find the registration gone.
+	regMu sync.Mutex
 
 	cellsRun  atomic.Int64
 	storeHits atomic.Int64
@@ -83,7 +87,7 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 		opts:     opts,
 		client:   opts.Client,
 		logf:     opts.Logf,
-		inflight: map[string]context.CancelFunc{},
+		inflight: map[string]context.CancelCauseFunc{},
 	}
 	if w.client == nil {
 		// Each slot and the heartbeat have at most one request in flight,
@@ -157,7 +161,9 @@ func (w *Worker) register(ctx context.Context) error {
 	backoff := 200 * time.Millisecond
 	for {
 		var resp RegisterResponse
-		err := w.post(ctx, PathRegister, RegisterRequest{SchemaVersion: schema.Version, Name: w.opts.Name, Domain: w.opts.Domain}, &resp)
+		err := w.post(ctx, PathRegister, RegisterRequest{
+			SchemaVersion: schema.Version, Name: w.opts.Name, Domain: w.opts.Domain, Parallelism: w.opts.Parallelism,
+		}, &resp)
 		if err == nil {
 			w.mu.Lock()
 			w.id, w.leaseMillis = resp.Worker, resp.LeaseMillis
@@ -189,6 +195,19 @@ func (w *Worker) workerID() string {
 	return w.id
 }
 
+// reregister renews the registration after the coordinator answered a
+// request made as stale with 404, unless another slot has renewed it
+// since: the coordinator counts the worker's slots once per
+// registration.
+func (w *Worker) reregister(ctx context.Context, stale string) error {
+	w.regMu.Lock()
+	defer w.regMu.Unlock()
+	if w.workerID() != stale {
+		return nil
+	}
+	return w.register(ctx)
+}
+
 // httpCode extracts the status code of a coordinator error response;
 // 0 means a transport-level failure.
 func httpCode(err error) int {
@@ -201,7 +220,8 @@ func httpCode(err error) int {
 // Run registers and serves cell leases until ctx is canceled. Cells run
 // on Parallelism concurrent slots; a heartbeat goroutine renews every
 // in-flight lease and aborts runs whose lease the coordinator took away.
-// Run releases the worker's store handle when it returns.
+// Once ctx is canceled each slot reports the cells it has finished before
+// Run returns. Run releases the worker's store handle when it returns.
 func (w *Worker) Run(ctx context.Context) error {
 	defer w.client.CloseIdleConnections()
 	if w.st != nil {
@@ -230,14 +250,26 @@ func (w *Worker) Run(ctx context.Context) error {
 // poll, or a completion that also leases, open while no cell is queued.
 const pollWaitMillis = 5000
 
+// maxBatch caps the cells a slot asks for in one lease, which bounds a
+// request's size and how long the coordinator holds its lock to lease or
+// finalize a batch. Caps of 8, 16 and 32 gave lower sweep throughput
+// than 64, and at 64 about half of a sweep's requests already come from
+// factoring's shrinking tail, which the cap does not touch (CHANGES.md).
+const maxBatch = 64
+
+// errLeaseLost is the cause a heartbeat cancels a cell with when the
+// coordinator no longer leases it to this worker.
+var errLeaseLost = errors.New("sweepd: lease lost")
+
 // slotLoop is one slot's poll→run→complete loop. A completion also asks
-// for the slot's next lease, so a busy slot costs one request per cell;
-// the slot polls only when a reply carries no assignment.
+// for the slot's next batch, so a busy slot costs one request per
+// batch; the slot polls only when a reply carries no assignment.
 func (w *Worker) slotLoop(ctx context.Context) {
 	var next PollResponse
+	var perCell time.Duration // mean cell time of the slot's last batch
 	for ctx.Err() == nil {
-		if next.Assignment != nil {
-			next = w.runAssignment(ctx, *next.Assignment)
+		if batch := next.batch(); len(batch) > 0 {
+			next, perCell = w.runBatch(ctx, batch, perCell)
 			continue
 		}
 		if next.RetryAfterMillis > 0 {
@@ -253,7 +285,10 @@ func (w *Worker) slotLoop(ctx context.Context) {
 			}
 		}
 		next = PollResponse{}
-		err := w.post(ctx, PathPoll, PollRequest{Worker: w.workerID(), WaitMillis: pollWaitMillis}, &next)
+		self := w.workerID()
+		err := w.post(ctx, PathPoll, PollRequest{
+			Worker: self, WaitMillis: pollWaitMillis, Batch: w.batchSize(perCell),
+		}, &next)
 		if err == nil {
 			continue
 		}
@@ -263,7 +298,7 @@ func (w *Worker) slotLoop(ctx context.Context) {
 		}
 		if httpCode(err) == http.StatusNotFound {
 			// Coordinator restarted and forgot us; re-register.
-			if rerr := w.register(ctx); rerr != nil {
+			if rerr := w.reregister(ctx, self); rerr != nil {
 				return
 			}
 			continue
@@ -277,44 +312,104 @@ func (w *Worker) slotLoop(ctx context.Context) {
 	}
 }
 
-// runAssignment executes one leased cell and reports it, returning the
-// coordinator's reply, which carries the slot's next lease when one is
-// queued. A run aborted by cancellation (worker shutdown or a lost
-// lease) is never reported: cancellation describes this worker stopping,
-// not the cell, and the coordinator will re-lease the cell elsewhere.
-func (w *Worker) runAssignment(ctx context.Context, asg Assignment) PollResponse {
-	cellCtx, cancel := context.WithCancel(ctx)
+// batchSize is how many cells a slot asks for: as many as it expects to
+// finish within a third of the lease, judged by the mean cell time of
+// its last batch, between 1 and maxBatch. A slot that has run nothing
+// yet asks for one.
+func (w *Worker) batchSize(perCell time.Duration) int {
+	if perCell <= 0 {
+		return 1
+	}
 	w.mu.Lock()
-	w.inflight[asg.ID] = cancel
+	third := time.Duration(w.leaseMillis) * time.Millisecond / 3
+	w.mu.Unlock()
+	return int(max(1, min(maxBatch, third/perCell)))
+}
+
+// runBatch executes a leased batch in lease order and reports the cells
+// it finished in one request, which also asks for the slot's next batch;
+// it returns the coordinator's reply and the batch's mean cell time
+// (perCell when no cell ran). Every cell stays in the heartbeat set
+// until that request is sent. A cell whose lease is lost is skipped
+// before it starts, aborted while it runs, and never reported; so is a
+// run aborted by shutdown, which is cancellation of this worker, not a
+// result of the cell: the coordinator re-leases such cells elsewhere. On
+// shutdown the cells finished so far are still reported, without asking
+// for more.
+func (w *Worker) runBatch(ctx context.Context, batch []Assignment, perCell time.Duration) (PollResponse, time.Duration) {
+	cellCtx := make([]context.Context, len(batch))
+	cancel := make([]context.CancelCauseFunc, len(batch))
+	w.mu.Lock()
+	for i, asg := range batch {
+		cellCtx[i], cancel[i] = context.WithCancelCause(ctx)
+		w.inflight[asg.ID] = cancel[i]
+	}
 	w.mu.Unlock()
 
-	if w.opts.beforeCell != nil {
-		w.opts.beforeCell(asg)
-	}
-	res, canceled := w.executeCell(cellCtx, asg)
-	abort := cellCtx.Err()
-	// The cell leaves the in-flight set before it is reported: the report
-	// may wait for the next lease, and a heartbeat naming a finished cell
-	// would come back lost.
-	w.mu.Lock()
-	delete(w.inflight, asg.ID)
-	w.mu.Unlock()
-	cancel()
-	if canceled {
-		w.logf("cell %s attempt %d aborted (%s)", asg.ID, asg.Attempt, abort)
-		return PollResponse{}
-	}
-	res.Worker = w.workerID()
-	var next PollResponse
-	if err := w.post(ctx, PathComplete, CompleteRequest{
-		Worker: res.Worker, ID: asg.ID, Attempt: asg.Attempt, Result: res, WaitMillis: pollWaitMillis,
-	}, &next); err != nil {
-		if ctx.Err() == nil {
-			w.logf("reporting cell %s failed: %v", asg.ID, err)
+	results := make([]*CellResult, len(batch))
+	ran, t0 := 0, time.Now()
+	for i, asg := range batch {
+		if ctx.Err() != nil {
+			break
 		}
-		return PollResponse{}
+		if cellCtx[i].Err() != nil {
+			w.logf("cell %s attempt %d skipped (%v)", asg.ID, asg.Attempt, context.Cause(cellCtx[i]))
+			continue
+		}
+		if w.opts.beforeCell != nil {
+			w.opts.beforeCell(asg)
+		}
+		res, canceled := w.executeCell(cellCtx[i], asg)
+		ran++
+		if canceled {
+			w.logf("cell %s attempt %d aborted (%v)", asg.ID, asg.Attempt, context.Cause(cellCtx[i]))
+			continue
+		}
+		results[i] = &res
 	}
-	return next
+	if ran > 0 {
+		perCell = time.Since(t0) / time.Duration(ran)
+	}
+
+	// Leaving the heartbeat set under w.mu settles each finished cell's
+	// fate: a lease lost before then drops the result, and none is lost
+	// after, since the heartbeat only cancels cells in the set.
+	var reports []Report
+	w.mu.Lock()
+	self, lease := w.id, time.Duration(w.leaseMillis)*time.Millisecond
+	for i, asg := range batch {
+		delete(w.inflight, asg.ID)
+		if results[i] != nil && context.Cause(cellCtx[i]) != errLeaseLost {
+			results[i].Worker = self
+			reports = append(reports, Report{ID: asg.ID, Attempt: asg.Attempt, Result: *results[i]})
+		}
+	}
+	w.mu.Unlock()
+	for _, c := range cancel {
+		c(nil)
+	}
+	if len(reports) == 0 {
+		return PollResponse{}, perCell
+	}
+	req := CompleteRequest{Worker: self, ID: reports[0].ID, Attempt: reports[0].Attempt, Result: reports[0].Result, More: reports[1:]}
+	postCtx := ctx
+	if ctx.Err() == nil {
+		req.WaitMillis, req.Batch = pollWaitMillis, w.batchSize(perCell)
+	} else {
+		// Shutting down: past a lease the coordinator re-leases the cells
+		// anyway, so that bounds the wait for the report.
+		var stop context.CancelFunc
+		postCtx, stop = context.WithTimeout(context.WithoutCancel(ctx), lease)
+		defer stop()
+	}
+	var next PollResponse
+	if err := w.post(postCtx, PathComplete, req, &next); err != nil {
+		if ctx.Err() == nil {
+			w.logf("reporting %d cells failed: %v", len(reports), err)
+		}
+		return PollResponse{}, perCell
+	}
+	return next, perCell
 }
 
 // executeCell wraps experiments.Runner around one cell. Each assignment
@@ -411,7 +506,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 		for _, id := range resp.Lost {
 			if cancel, ok := w.inflight[id]; ok {
 				w.logf("lease lost for cell %s; aborting", id)
-				cancel()
+				cancel(errLeaseLost)
 			}
 		}
 		w.mu.Unlock()
