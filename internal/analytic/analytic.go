@@ -106,10 +106,29 @@ type profileEntry struct {
 
 // machineInfo is one system's spec plus its layout rows: the layouts of
 // each rank count, indexed by scheme, so a table row finds all of its
-// placements with one map lookup.
+// placements with one slice index.
 type machineInfo struct {
 	spec *machine.Spec
-	rows map[int][]layoutSlot
+	// slots holds the rows of ranks 1..NumCores back to back, so the
+	// cache is bounded by the machine, not by the rank counts priced.
+	slots []layoutSlot
+	// Any other rank count is unplaceable under every scheme (it fails
+	// affinity.Layout's first checks), so it gets no row of its own:
+	// last is the row of the last such count, lastRanks.
+	last      []layoutSlot
+	lastRanks int
+}
+
+// row returns the layout row of ranks, indexed by scheme.
+func (m *machineInfo) row(ranks int) []layoutSlot {
+	if n := len(affinity.Schemes); ranks >= 1 && ranks <= m.spec.Topo.NumCores() {
+		return m.slots[(ranks-1)*n : ranks*n]
+	}
+	if ranks != m.lastRanks {
+		clear(m.last)
+		m.lastRanks = ranks
+	}
+	return m.last
 }
 
 // layoutSlot caches one layout: its aggregates, or the error that makes
@@ -187,7 +206,8 @@ func (e *Estimator) Row(spec workload.Spec, system string, ranks int, schemes []
 	m, ok := e.machines[system]
 	if !ok {
 		if s := machine.Lookup(system); s != nil {
-			m = &machineInfo{spec: s, rows: make(map[int][]layoutSlot)}
+			n := len(affinity.Schemes)
+			m = &machineInfo{spec: s, slots: make([]layoutSlot, s.Topo.NumCores()*n), last: make([]layoutSlot, n)}
 		}
 		e.machines[system] = m
 	}
@@ -198,11 +218,7 @@ func (e *Estimator) Row(spec workload.Spec, system string, ranks int, schemes []
 		}
 		return
 	}
-	row, ok := m.rows[ranks]
-	if !ok {
-		row = make([]layoutSlot, len(affinity.Schemes))
-		m.rows[ranks] = row
-	}
+	row := m.row(ranks)
 	var pe *profileEntry // looked up at the row's first feasible layout
 	factor := 1.0
 	for i, scheme := range schemes {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -178,15 +179,44 @@ func TestRowZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestEstimatorMemoryBounded: the layout cache is bounded by the
+// machines' core counts, not by the rank counts priced. Pricing ranks
+// 1-100,000 on the three paper systems, nearly all of them above every
+// core count, must leave the estimator holding under a megabyte (a
+// cache entry per rank count held about 68 MB).
+func TestEstimatorMemoryBounded(t *testing.T) {
+	spec := mustSpec(t, "stream")
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	e := analytic.New()
+	for _, sys := range []string{"tiger", "dmz", "longs"} {
+		for r := 1; r <= 100_000; r++ {
+			e.Cell(spec, sys, r, affinity.Default)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	retained := int64(ms.HeapAlloc) - int64(before)
+	runtime.KeepAlive(e)
+	if retained >= 1<<20 {
+		t.Errorf("estimator retains %d bytes after pricing ranks 1-100000 on three systems, want < 1 MB", retained)
+	}
+}
+
 func TestCellInfeasible(t *testing.T) {
 	e := analytic.New()
 	// 64 ranks over-subscribes every paper system, so the placement is
 	// infeasible under any scheme — the estimator must surface the same
-	// typed error the simulator's NA cells come from.
-	_, err := e.Cell(mustSpec(t, "stream"), "tiger", 64, affinity.OneMPIMembind)
-	var inf *affinity.ErrInfeasible
-	if err == nil || !errors.As(err, &inf) {
-		t.Fatalf("err = %v, want *affinity.ErrInfeasible", err)
+	// typed error the simulator's NA cells come from. So does the
+	// largest rank count a grid accepts.
+	for _, ranks := range []int{64, math.MaxInt} {
+		_, err := e.Cell(mustSpec(t, "stream"), "tiger", ranks, affinity.OneMPIMembind)
+		var inf *affinity.ErrInfeasible
+		if err == nil || !errors.As(err, &inf) {
+			t.Fatalf("%d ranks: err = %v, want *affinity.ErrInfeasible", ranks, err)
+		}
 	}
 }
 

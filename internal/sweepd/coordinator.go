@@ -68,6 +68,10 @@ type CoordinatorOptions struct {
 	// QuarantineBackoff is the first quarantine duration; it doubles per
 	// consecutive quarantine, capped at 16x. Default 30s.
 	QuarantineBackoff time.Duration
+
+	// beforeScreen, when non-nil, runs before each grid is screened;
+	// tests use it to stall screening and probe the coordinator's lock.
+	beforeScreen func()
 }
 
 func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
@@ -362,7 +366,7 @@ func (c *Coordinator) restore(snapshot []byte, records [][]byte) error {
 			c.opts.Logf("restore: dropping sweep %s: %v", p.Token, err)
 			continue
 		}
-		sw := c.buildSweepLocked(p.Token, p.Req, ps.Results, nil)
+		sw := c.buildSweepLocked(p.Token, p.Req, ps.Results, c.screen(p.Req))
 		if p.Done {
 			sw.done = true
 		}
@@ -761,13 +765,12 @@ func validateSweep(req SweepRequest) error {
 	return req.Grid.Validate()
 }
 
-// buildSweepLocked screens a validated request if asked, registers it
-// under token, and attaches its cells: existing executions gain a
-// reference, already-finalized ones adopt immediately, new ones queue
-// at the sweep's priority. finals, when non-nil (restore), supplies
-// pre-crash results for cells this sweep should see as done. decisions,
-// when non-nil, is the screening admission control already did for
-// this request. Callers hold c.mu.
+// buildSweepLocked registers a validated request under token and
+// attaches its cells: existing executions gain a reference,
+// already-finalized ones adopt immediately, new ones queue at the
+// sweep's priority. finals, when non-nil (restore), supplies pre-crash
+// results for cells this sweep should see as done. decisions is the
+// request's screening (c.screen). Callers hold c.mu.
 func (c *Coordinator) buildSweepLocked(token string, req SweepRequest, finals map[string]CellResult, decisions []ScreenDecision) *sweepState {
 	sw := &sweepState{
 		token:   token,
@@ -778,23 +781,20 @@ func (c *Coordinator) buildSweepLocked(token string, req SweepRequest, finals ma
 	}
 	sw.sum.Cells = req.Grid.Size()
 
-	// Screening tier: price the whole grid in-process and lease only the
-	// promoted cells. ScreenGrid is deterministic, so a restore replays
-	// it instead of journaling a million settled results.
+	// Screening tier: lease only the promoted cells. ScreenGrid is
+	// deterministic, so a restore replays it instead of journaling a
+	// million settled results.
 	var cells []CellSpec
 	if !req.Screen {
 		cells = req.Grid.Cells()
 	} else {
-		if decisions == nil {
-			decisions = c.screen(req)
-		}
 		for i := range decisions {
 			d := &decisions[i]
 			if d.Promote {
 				cells = append(cells, d.Cell)
 				continue
 			}
-			sw.settled = append(sw.settled, d.Result)
+			sw.settled = append(sw.settled, d.CellResult())
 			switch d.Result.Status {
 			case StatusInfeasible:
 				sw.sum.Infeasible++
@@ -876,8 +876,16 @@ func (c *Coordinator) buildSweepLocked(token string, req SweepRequest, finals ma
 }
 
 // screen prices a screened request's grid on the coordinator's shared
-// estimator.
+// estimator; an unscreened request has no decisions. Pricing is the
+// slowest step of a large submission, so handleSweep screens before
+// taking c.mu: leases, heartbeats and completions never wait on it.
 func (c *Coordinator) screen(req SweepRequest) []ScreenDecision {
+	if !req.Screen {
+		return nil
+	}
+	if c.opts.beforeScreen != nil {
+		c.opts.beforeScreen()
+	}
 	return ScreenGrid(c.est, req.Grid, ScreenOptions{
 		PromoteMargin:    req.PromoteMargin,
 		UncertaintyBound: req.UncertaintyBound,
@@ -963,20 +971,16 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	decisions := c.screen(req)
 	c.mu.Lock()
 	// Admission control: reject before building any state, counting the
-	// promoted cells this sweep would add. Screened grids admit by their
+	// cells this sweep would add. Screened grids admit by their
 	// post-screen footprint, so a million-cell screened sweep with a
 	// small promoted set passes a small quota.
-	var decisions []ScreenDecision
 	if max := c.opts.MaxInflightPerClient; max > 0 {
 		have := c.inflightLocked(req.Client)
-		add := req.Grid.Size() // pre-screen upper bound
-		if have+add > max && req.Screen {
-			// Screening is deterministic and cheap; price it to get the
-			// real footprint before rejecting, and keep the decisions
-			// for the sweep itself.
-			decisions = c.screen(req)
+		add := req.Grid.Size()
+		if req.Screen {
 			add = 0
 			for i := range decisions {
 				if decisions[i].Promote {

@@ -323,10 +323,20 @@ func appendWorkloadKey(dst []byte, c *CellSpec) []byte {
 
 // appendKeyTail appends the rest of c's Key after its workload part.
 func appendKeyTail(dst []byte, c *CellSpec) []byte {
-	dst = append(append(dst, '/'), c.System...)
-	dst = strconv.AppendInt(append(dst, "/r"...), int64(c.Ranks), 10)
-	dst = append(append(dst, '/'), c.Scheme...)
-	return append(append(dst, '/'), c.Scale...)
+	return appendSchemeKey(appendRowKey(dst, c.System, c.Ranks), c.Scheme, c.Scale)
+}
+
+// appendRowKey appends the part of a Key between the workload and the
+// scheme, which every cell of a table row shares.
+func appendRowKey(dst []byte, system string, ranks int) []byte {
+	dst = append(append(dst, '/'), system...)
+	return strconv.AppendInt(append(dst, "/r"...), int64(ranks), 10)
+}
+
+// appendSchemeKey appends the last part of a Key, after the row part.
+func appendSchemeKey(dst []byte, scheme, scale string) []byte {
+	dst = append(append(dst, '/'), scheme...)
+	return append(append(dst, '/'), scale...)
 }
 
 // Size is the number of cells in the grid, len(g.Cells()), without

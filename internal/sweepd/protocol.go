@@ -104,20 +104,21 @@ type CellResult struct {
 // golden path — must produce the same fingerprint for the same cell.
 func Fingerprint(res CellResult) string {
 	var buf [256]byte
-	return fingerprint(appendKeyTail(appendWorkloadKey(buf[:0], &res.Cell), &res.Cell), &res)
+	var hx [16]byte
+	key := appendKeyTail(appendWorkloadKey(buf[:0], &res.Cell), &res.Cell)
+	return string(appendFingerprint(hx[:0], key, res.Status, res.Seconds, res.Error))
 }
 
-// fingerprint completes a fingerprint whose input so far is key, the
-// result's cell Key bytes: it appends the remaining fields, each
-// NUL-terminated like the key, and hashes the whole input at once.
-func fingerprint(key []byte, res *CellResult) string {
-	b := append(append(key, 0), res.Status...)
-	b = strconv.AppendFloat(append(b, 0), res.Seconds, 'x', -1, 64)
-	b = append(append(append(b, 0), res.Error...), 0)
+// appendFingerprint appends to dst the 16 hex digits of the fingerprint
+// whose input so far is key, a result's cell Key bytes: it appends the
+// remaining fields to key, each NUL-terminated like the key, and hashes
+// the whole input at once.
+func appendFingerprint(dst, key []byte, status string, secs float64, errText string) []byte {
+	b := append(append(key, 0), status...)
+	b = strconv.AppendFloat(append(b, 0), secs, 'x', -1, 64)
+	b = append(append(append(b, 0), errText...), 0)
 	sum := sha256.Sum256(b)
-	var hx [16]byte
-	hex.Encode(hx[:], sum[:8])
-	return string(hx[:])
+	return hex.AppendEncode(dst, sum[:8])
 }
 
 // StreamEvent is one NDJSON line of a sweep response stream: first a

@@ -60,14 +60,35 @@ const (
 // order. Exactly one of two shapes: Promote is set (the cell needs full
 // simulation; Reason says why, Est is the estimate when one exists), or
 // Result holds the settled outcome (an estimated, infeasible, or
-// deterministic-error cell).
+// deterministic-error cell), whose wire form CellResult builds.
 type ScreenDecision struct {
 	Cell    CellSpec
 	Est     analytic.Estimate
 	HasEst  bool
 	Promote bool
 	Reason  string
-	Result  CellResult
+	Result  ScreenResult
+}
+
+// ScreenResult is what a settled cell's wire result holds beyond its
+// decision's Cell and Est: the result's Seconds and Uncertainty are the
+// estimate's, zero for an infeasible or error cell.
+type ScreenResult struct {
+	Status      string
+	Error       string
+	Fingerprint string
+}
+
+// CellResult is the decision's wire result: the settled outcome, or the
+// zero CellResult for a promoted cell, which only simulation settles.
+func (d *ScreenDecision) CellResult() CellResult {
+	if d.Promote {
+		return CellResult{}
+	}
+	return CellResult{
+		Cell: d.Cell, Status: d.Result.Status, Seconds: d.Est.Seconds, Error: d.Result.Error,
+		Fingerprint: d.Result.Fingerprint, Uncertainty: d.Est.Uncertainty,
+	}
 }
 
 // ScreenGrid prices every cell of the grid analytically and applies the
@@ -78,72 +99,89 @@ func ScreenGrid(e *analytic.Estimator, g Grid, opts ScreenOptions) []ScreenDecis
 	opts = opts.withDefaults()
 
 	// Resolve the grid dimensions once; a table row then costs one
-	// Estimator.Row call plus a fingerprint for each settled cell.
+	// Estimator.Row call plus a hash for each settled cell.
 	schemes := make([]affinity.Scheme, len(g.Schemes))
 	schemeErr := make([]error, len(g.Schemes))
 	for i, s := range g.Schemes {
 		schemes[i], schemeErr[i] = affinity.ParseScheme(s)
 	}
+	specs := make([]workload.Spec, len(g.Workloads))
+	specErr := make([]error, len(g.Workloads))
+	wkeys := make([]string, len(g.Workloads)) // each workload's Key prefix
+	for i, w := range g.Workloads {
+		specs[i], specErr[i] = workload.ParseSpec(w)
+		specs[i].Class, specs[i].Steps, specs[i].N = g.Class, g.Steps, g.N
+		wkeys[i] = string(experiments.AppendWorkloadKey(nil, specs[i]))
+	}
 	est := make([]analytic.Estimate, len(schemes))
 	errs := make([]error, len(schemes))
 	decisions := make([]ScreenDecision, g.Size())
-	n := 0
-	for _, w := range g.Workloads {
-		spec, specErr := workload.ParseSpec(w)
-		spec.Class, spec.Steps, spec.N = g.Class, g.Steps, g.N
-		wkey := experiments.AppendWorkloadKey(nil, spec)
-		for _, sys := range g.Systems {
-			for _, r := range g.Ranks {
+	// Decision i's fingerprint is fps[16*i:][:16], written in place
+	// (unused when the cell promotes), so all of them share one string.
+	fps := make([]byte, 16*len(decisions))
+	var kbuf [256]byte
+	// Each (system, ranks) row is priced for every workload in turn: the
+	// estimator keeps the placement errors of only the last rank count
+	// above a machine's core count, so the workloads share them. The
+	// decisions still come back in grid order.
+	for si, sys := range g.Systems {
+		for ri, r := range g.Ranks {
+			for wi, w := range g.Workloads {
+				n := ((wi*len(g.Systems)+si)*len(g.Ranks) + ri) * len(schemes)
 				row := decisions[n : n+len(schemes)]
-				n += len(schemes)
-				if specErr == nil {
-					e.Row(spec, sys, r, schemes, est, errs)
+				if specErr[wi] == nil {
+					e.Row(specs[wi], sys, r, schemes, est, errs)
 				}
-				for si := range row {
-					d := &row[si]
+				for k := range row {
+					d := &row[k]
 					d.Cell = CellSpec{
 						Workload: w, Class: g.Class, Steps: g.Steps, N: g.N,
-						System: sys, Ranks: r, Scheme: g.Schemes[si], Scale: g.Scale,
+						System: sys, Ranks: r, Scheme: g.Schemes[k], Scale: g.Scale,
 					}
 					// Deterministic spec errors and infeasible placements
 					// settle exactly like the simulator path (same status and
 					// error text, so the same fingerprint); model errors
 					// promote.
 					switch {
-					case specErr != nil:
-						d.Result = resultFor(d.Cell, 0, specErr)
-					case schemeErr[si] != nil:
-						d.Result = resultFor(d.Cell, 0, schemeErr[si])
-					case isInfeasible(errs[si]):
-						settle(d, wkey, StatusInfeasible)
-					case errs[si] != nil:
+					case specErr[wi] != nil:
+						d.Result = ScreenResult{Status: StatusError, Error: specErr[wi].Error()}
+					case schemeErr[k] != nil:
+						d.Result = ScreenResult{Status: StatusError, Error: schemeErr[k].Error()}
+					case isInfeasible(errs[k]):
+						d.Result.Status = StatusInfeasible
+					case errs[k] != nil:
 						d.Promote, d.Reason = true, ReasonUnestimable
 					default:
-						d.Est, d.HasEst = est[si], true
-						if est[si].Uncertainty > opts.UncertaintyBound {
+						d.Est, d.HasEst = est[k], true
+						if est[k].Uncertainty > opts.UncertaintyBound {
 							d.Promote, d.Reason = true, ReasonUncertainty
 						}
 					}
 				}
 				promoteCrossovers(row, opts.PromoteMargin)
-				for si := range row {
-					if d := &row[si]; !d.Promote && d.Result.Status == "" {
-						settle(d, wkey, StatusEstimated)
+				rowKey := appendRowKey(append(kbuf[:0], wkeys[wi]...), sys, r)
+				for k := range row {
+					d := &row[k]
+					if d.Promote {
+						continue
 					}
+					if d.Result.Status == "" {
+						d.Result.Status = StatusEstimated
+					}
+					at := 16 * (n + k)
+					key := appendSchemeKey(rowKey, g.Schemes[k], g.Scale)
+					appendFingerprint(fps[at:at:at+16], key, d.Result.Status, d.Est.Seconds, d.Result.Error)
 				}
 			}
 		}
 	}
+	all := string(fps)
+	for i := range decisions {
+		if d := &decisions[i]; !d.Promote {
+			d.Result.Fingerprint = all[16*i:][:16]
+		}
+	}
 	return decisions
-}
-
-// settle records a screened cell's result under status, carrying its
-// estimate (zero for an infeasible cell). wkey is the cell's workload
-// key, computed once per grid workload.
-func settle(d *ScreenDecision, wkey []byte, status string) {
-	d.Result = CellResult{Cell: d.Cell, Status: status, Seconds: d.Est.Seconds, Uncertainty: d.Est.Uncertainty}
-	var buf [256]byte
-	d.Result.Fingerprint = fingerprint(appendKeyTail(append(buf[:0], wkey...), &d.Cell), &d.Result)
 }
 
 // isInfeasible reports whether err is (or wraps) *affinity.ErrInfeasible.
@@ -201,11 +239,11 @@ func RunScreened(r *experiments.Runner, e *analytic.Estimator, g Grid, opts Scre
 	decisions := ScreenGrid(e, g, opts)
 	results := make(map[string]CellResult, len(decisions))
 	var promoted []CellSpec
-	for _, d := range decisions {
-		if d.Promote {
+	for i := range decisions {
+		if d := &decisions[i]; d.Promote {
 			promoted = append(promoted, d.Cell)
 		} else {
-			results[d.Cell.Key()] = d.Result
+			results[d.Cell.Key()] = d.CellResult()
 		}
 	}
 	for k, res := range runCells(r, promoted, workers) {
