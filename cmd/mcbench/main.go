@@ -52,7 +52,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -434,29 +433,7 @@ func calibrateEstimator(e *analytic.Estimator, st *store.Store) (analytic.Calibr
 	if st == nil {
 		return analytic.Calibration{}, fmt.Errorf("-calibrate needs -store DIR")
 	}
-	entries, err := st.List()
-	if err != nil {
-		return analytic.Calibration{}, err
-	}
-	obs := make([]sweepd.StoreObservation, 0, len(entries))
-	for _, ent := range entries {
-		var secs float64
-		if ent.Status == store.StatusOK {
-			if err := json.Unmarshal(ent.Value, &secs); err != nil {
-				continue // not a makespan cell (table artifact, etc.)
-			}
-		}
-		obs = append(obs, sweepd.StoreObservation{
-			Workload: ent.Key.Workload,
-			System:   ent.Key.System,
-			Ranks:    ent.Key.Ranks,
-			Scheme:   ent.Key.Scheme,
-			Faults:   ent.Key.Faults,
-			Status:   ent.Status,
-			Seconds:  secs,
-		})
-	}
-	cal, err := sweepd.CalibrateFromStore(e, obs)
+	cal, err := sweepd.CalibrateFromStore(e, st)
 	if err != nil {
 		return cal, err
 	}

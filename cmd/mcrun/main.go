@@ -30,7 +30,6 @@ import (
 	"multicore/internal/affinity"
 	"multicore/internal/core"
 	"multicore/internal/fault"
-	"multicore/internal/machine"
 	"multicore/internal/mpi"
 	"multicore/internal/report"
 	"multicore/internal/sim"
@@ -56,7 +55,6 @@ func impls(name string) *mpi.Impl {
 
 func main() {
 	system := flag.String("system", "dmz", "system: a registered machine (tiger, dmz, longs, hybrid16, epyc2x4, ...) or @FILE for a spec file")
-	machineFile := flag.String("machine", "", "JSON machine-spec file overriding -system (see machine.LoadSpec)")
 	ranks := flag.Int("ranks", 2, "MPI task count")
 	scheme := flag.String("scheme", "default", "placement: default, localalloc, membind, 2mpi-localalloc, 2mpi-membind, interleave")
 	impl := flag.String("impl", "mpich2", "MPI profile: mpich2, lam, lam-sysv, lam-usysv, openmpi")
@@ -135,14 +133,6 @@ func main() {
 	}
 	if *timeout < 0 {
 		fatalf("-timeout must be non-negative (0 = unbounded)")
-	}
-	if *machineFile != "" {
-		spec, err := machine.LoadSpec(*machineFile)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		job.Spec = spec
-		*system = spec.Topo.Name
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

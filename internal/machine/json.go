@@ -3,7 +3,6 @@ package machine
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 
 	"multicore/internal/topology"
 )
@@ -320,13 +319,4 @@ func decodeSpec(data []byte) (*specJSON, *Spec, error) {
 func UnmarshalJSONSpec(data []byte) (*Spec, error) {
 	_, s, err := decodeSpec(data)
 	return s, err
-}
-
-// LoadSpec reads a machine spec from a JSON file.
-func LoadSpec(path string) (*Spec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return UnmarshalJSONSpec(data)
 }

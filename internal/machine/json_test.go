@@ -109,7 +109,7 @@ func TestSpecJSONFieldValidation(t *testing.T) {
 }
 
 func TestLoadSpecMissingFile(t *testing.T) {
-	if _, err := LoadSpec("/nonexistent/spec.json"); err == nil {
+	if _, err := Resolve("@/nonexistent/spec.json"); err == nil {
 		t.Fatal("expected error")
 	}
 }

@@ -80,7 +80,7 @@ func TestPathsMatchLegacyConstruction(t *testing.T) {
 	for _, name := range Names() {
 		specs[name] = Lookup(name)
 	}
-	custom, err := LoadSpec("../../examples/hybrid8.json")
+	_, custom, err := RegisterSpecFile("../../examples/hybrid8.json")
 	if err != nil {
 		t.Fatal(err)
 	}

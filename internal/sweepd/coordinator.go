@@ -131,9 +131,9 @@ type cellState struct {
 
 // workerState is one registered worker.
 type workerState struct {
-	name     string
 	domain   string
-	lastSeen time.Time
+	slots    int
+	lastSeen time.Time // its last request; see expireWorkersLocked
 }
 
 // domainState tracks one failure domain's health. Consecutive lease
@@ -151,26 +151,32 @@ type domainState struct {
 
 // sweepState is one submitted sweep, living server-side so its NDJSON
 // stream survives client disconnects: a reconnecting client resumes by
-// token and replays results. The janitor drops sweeps idle past
+// token and is sent the log again. The janitor drops sweeps idle past
 // SweepRetention.
 type sweepState struct {
-	token   string
-	req     SweepRequest
-	prio    int
-	ids     []string     // unique dedup keys of the simulated (promoted) cells
-	settled []CellResult // screening-tier results, streamed on every (re)attach
-	results map[string]CellResult
+	token string
+	req   SweepRequest
+	prio  int
+	ids   []string // unique dedup keys of the simulated (promoted) cells
+	// log is every result the sweep's streams send, in order: the
+	// screening tier's settled results, then each cell as it finalized.
+	// It only grows, so a stream reads the prefix it took under c.mu
+	// without holding the lock.
+	log     []CellResult
+	pending int           // ids not yet in the log; the sweep is complete at 0
+	wake    chan struct{} // closed when the log grows; nil until a stream waits
 	sum     Summary
-	done    bool
-	subs    map[chan CellResult]bool
-	idle    time.Time // when the last subscriber detached; zero while attached
+	streams int       // attached client streams
+	idle    time.Time // when the retention clock started: the last detach, or restore
 }
 
 // journalRecord is one durable state transition. Types: "sweep" (a
 // submission: token + full request), "final" (a cell finalized),
 // "lease" (a cell leased at an attempt number, so restart preserves the
-// attempt budget), "done" (a sweep completed), "drop" (a sweep
-// retired). Replay over a snapshot is idempotent.
+// attempt budget), "drop" (a sweep retired). Replay over a snapshot is
+// idempotent, and skips types it does not know: older coordinators also
+// journaled a "done" record per completed sweep, which restore
+// recomputes from the finals it replays.
 type journalRecord struct {
 	T       string        `json:"t"`
 	Token   string        `json:"token,omitempty"`
@@ -196,7 +202,6 @@ type persistedState struct {
 type persistedSweep struct {
 	Token string       `json:"token"`
 	Req   SweepRequest `json:"req"`
-	Done  bool         `json:"done,omitempty"`
 }
 
 // Coordinator shards sweep cells across registered workers. It is pure
@@ -205,12 +210,7 @@ type persistedSweep struct {
 // is also durable — queue state survives SIGKILL via journal replay.
 type Coordinator struct {
 	opts CoordinatorOptions
-	// est screens grids submitted with Screen set; the estimator's
-	// layout/profile caches are shared across sweeps (it is safe for
-	// concurrent use), so repeated screening submissions price cells
-	// from warm caches.
-	est *analytic.Estimator
-	jn  *journal.Journal // nil when not durable
+	jn   *journal.Journal // nil when not durable
 	// instance suffixes worker IDs in durable mode so IDs from before a
 	// restart can never alias freshly issued ones.
 	instance string
@@ -224,13 +224,12 @@ type Coordinator struct {
 	workers    map[string]*workerState
 	domains    map[string]*domainState
 	nextWorker int
-	slots      int // cell slots of every registered worker
+	slots      int // cell slots of the live registrations
 	divergent  int
 	doneCells  int
-	finals     map[string]string // finalized cell id → fingerprint
+	finals     map[string]string // finalized cell id → fingerprint; see rememberFinalLocked
 	wake       chan struct{}
 	unsynced   int
-	restoring  bool // suppress journal writes during replay
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -243,7 +242,6 @@ type Coordinator struct {
 func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	c := &Coordinator{
 		opts:    opts.withDefaults(),
-		est:     analytic.New(),
 		cells:   map[string]*cellState{},
 		queue:   newFairQueue(),
 		leases:  list.New(),
@@ -260,8 +258,7 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.jn = jn
-		if err := c.restore(snapshot, records); err != nil {
+		if err := c.restore(jn, snapshot, records); err != nil {
 			jn.Close()
 			return nil, err
 		}
@@ -290,10 +287,13 @@ func (c *Coordinator) Close() {
 	})
 }
 
-// restore rebuilds state from a snapshot plus journal records. Replay
-// is idempotent: records already reflected in the snapshot re-apply
-// harmlessly (the snapshot/truncate crash window leaves such records).
-func (c *Coordinator) restore(snapshot []byte, records [][]byte) error {
+// restore rebuilds state from a snapshot plus journal records, then
+// attaches jn. Replay is idempotent: records already reflected in the
+// snapshot re-apply harmlessly (the snapshot/truncate crash window
+// leaves such records). A sweep is complete once every one of its cells
+// has a replayed final, so completion is not stored; the "done" field
+// of snapshots written by older coordinators is ignored.
+func (c *Coordinator) restore(jn *journal.Journal, snapshot []byte, records [][]byte) error {
 	ps := persistedState{Results: map[string]CellResult{}, Finals: map[string]string{}, Attempts: map[string]int{}}
 	if len(snapshot) > 0 {
 		if err := json.Unmarshal(snapshot, &ps); err != nil {
@@ -338,10 +338,6 @@ func (c *Coordinator) restore(snapshot []byte, records [][]byte) error {
 			if rec.Attempt > ps.Attempts[rec.ID] {
 				ps.Attempts[rec.ID] = rec.Attempt
 			}
-		case "done":
-			if i, ok := byToken[rec.Token]; ok {
-				ps.Sweeps[i].Done = true
-			}
 		case "drop":
 			if i, ok := byToken[rec.Token]; ok {
 				ps.Sweeps[i].Token = "" // tombstone; skipped below
@@ -352,8 +348,6 @@ func (c *Coordinator) restore(snapshot []byte, records [][]byte) error {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.restoring = true
-	defer func() { c.restoring = false }()
 	c.finals = ps.Finals
 	c.divergent = ps.Divergent
 	c.doneCells = ps.DoneCells
@@ -367,9 +361,6 @@ func (c *Coordinator) restore(snapshot []byte, records [][]byte) error {
 			continue
 		}
 		sw := c.buildSweepLocked(p.Token, p.Req, ps.Results, c.screen(p.Req))
-		if p.Done {
-			sw.done = true
-		}
 		sw.idle = time.Now() // retention clock runs until a client resumes
 		restored++
 	}
@@ -385,20 +376,21 @@ func (c *Coordinator) restore(snapshot []byte, records [][]byte) error {
 		c.opts.Logf("restored %d sweeps from %s: %d cells done, %d queued",
 			restored, c.opts.StateDir, len(ps.Results), c.queue.len())
 	}
-	// Compact: the rebuilt state is the new snapshot; the journal restarts
-	// empty.
+	// The journal is attached only now, so replay wrote no records. The
+	// rebuilt state is the new snapshot; the journal restarts empty.
+	c.jn = jn
 	return c.snapshotLocked()
 }
 
-// snapshotEvery is how many journal records trigger compaction into a
-// snapshot.
+// snapshotEvery is the fewest journal records that trigger compaction
+// into a snapshot.
 const snapshotEvery = 4096
 
 // journalLocked appends one record, batching fsyncs and compacting into
 // a snapshot past the thresholds. Callers hold c.mu. No-op when not
-// durable or while restoring.
+// durable, which includes restore.
 func (c *Coordinator) journalLocked(rec journalRecord) {
-	if c.jn == nil || c.restoring {
+	if c.jn == nil {
 		return
 	}
 	b, err := json.Marshal(rec)
@@ -417,7 +409,10 @@ func (c *Coordinator) journalLocked(rec journalRecord) {
 		}
 		c.unsynced = 0
 	}
-	if c.jn.Records() >= snapshotEvery {
+	// A snapshot encodes a result or an attempt count per cell held and a
+	// fingerprint per final, so waiting for as many records as that keeps
+	// the bytes snapshots write linear in the records journaled.
+	if n := c.jn.Records(); n >= snapshotEvery && n >= len(c.cells)+len(c.finals) {
 		if err := c.snapshotLocked(); err != nil {
 			c.opts.Logf("snapshot failed: %v", err)
 		}
@@ -442,7 +437,7 @@ func (c *Coordinator) snapshotLocked() error {
 		if !ok {
 			continue
 		}
-		ps.Sweeps = append(ps.Sweeps, persistedSweep{Token: token, Req: sw.req, Done: sw.done})
+		ps.Sweeps = append(ps.Sweeps, persistedSweep{Token: token, Req: sw.req})
 	}
 	for id, st := range c.cells {
 		if st.state == cellDone && st.result != nil {
@@ -464,7 +459,8 @@ func (c *Coordinator) snapshotLocked() error {
 
 // janitor re-queues expired leases even when no worker is polling (so a
 // sweep whose only worker died still completes once a worker returns),
-// drops sweeps idle past retention, and syncs the journal.
+// expires silent registrations, drops sweeps idle past retention, and
+// syncs the journal.
 func (c *Coordinator) janitor() {
 	interval := c.opts.Lease / 4
 	if interval < 10*time.Millisecond {
@@ -479,6 +475,7 @@ func (c *Coordinator) janitor() {
 		case <-t.C:
 			c.mu.Lock()
 			c.reapExpiredLocked()
+			c.expireWorkersLocked()
 			c.gcSweepsLocked()
 			if c.jn != nil && c.unsynced > 0 {
 				c.jn.Sync()
@@ -547,6 +544,27 @@ func (c *Coordinator) unleaseLocked(st *cellState) {
 	st.lease = nil
 }
 
+// expireWorkersLocked drops every registration unheard-from for longer
+// than Lease + PollWait, so slots and the domains' worker counts are
+// those of live workers: a live worker polls at least once per PollWait
+// and heartbeats every Lease/3 while it holds cells. Domain records stay,
+// since they carry quarantine history. An expired worker's next request
+// gets 404, and it registers again. The janitor reaps expired leases
+// first, so a dead worker's lapsed leases are charged to its domain
+// before its registration goes. Callers hold c.mu.
+func (c *Coordinator) expireWorkersLocked() {
+	now, ttl := time.Now(), c.opts.Lease+c.opts.PollWait
+	for id, ws := range c.workers {
+		if now.Sub(ws.lastSeen) <= ttl {
+			continue
+		}
+		delete(c.workers, id)
+		c.slots -= ws.slots
+		c.domains[ws.domain].workers--
+		c.opts.Logf("worker %s expired: silent for more than %s", id, ttl)
+	}
+}
+
 // maxQuarantineDoublings caps the exponential quarantine growth at 16x
 // the base.
 const maxQuarantineDoublings = 4
@@ -585,7 +603,7 @@ func (c *Coordinator) chargeDomainLocked(worker string, now time.Time) {
 func (c *Coordinator) gcSweepsLocked() {
 	now := time.Now()
 	for token, sw := range c.sweeps {
-		if len(sw.subs) > 0 || sw.idle.IsZero() || now.Sub(sw.idle) < c.opts.SweepRetention {
+		if sw.streams > 0 || sw.idle.IsZero() || now.Sub(sw.idle) < c.opts.SweepRetention {
 			continue
 		}
 		c.dropSweepLocked(token, sw)
@@ -593,12 +611,13 @@ func (c *Coordinator) gcSweepsLocked() {
 }
 
 // dropSweepLocked removes a sweep and its cell references: unreferenced
-// queued cells are dequeued (nobody wants them), unreferenced done
-// cells evicted (the store has them), leased cells left to complete
-// (the worker will persist to the store either way). Callers hold c.mu.
+// queued cells are dequeued (nobody wants them) in one pass over the
+// queue, unreferenced done cells evicted (the store has them), leased
+// cells left to complete (the worker will persist to the store either
+// way). Callers hold c.mu.
 func (c *Coordinator) dropSweepLocked(token string, sw *sweepState) {
 	c.opts.Logf("dropping sweep %s (idle past retention, %d/%d cells done)",
-		token, len(sw.results), len(sw.ids))
+		token, len(sw.ids)-sw.pending, len(sw.ids))
 	c.journalLocked(journalRecord{T: "drop", Token: token})
 	delete(c.sweeps, token)
 	for i, t := range c.sweepOrder {
@@ -607,6 +626,7 @@ func (c *Coordinator) dropSweepLocked(token string, sw *sweepState) {
 			break
 		}
 	}
+	dequeue := map[string]bool{}
 	for _, id := range sw.ids {
 		st, ok := c.cells[id]
 		if !ok {
@@ -622,13 +642,14 @@ func (c *Coordinator) dropSweepLocked(token string, sw *sweepState) {
 		if st.refs <= 0 {
 			switch st.state {
 			case cellQueued:
-				c.queue.remove(id)
+				dequeue[id] = true
 				delete(c.cells, id)
 			case cellDone:
 				delete(c.cells, id)
 			}
 		}
 	}
+	c.queue.remove(dequeue)
 }
 
 // finalizeLocked completes a cell: records the result, journals it,
@@ -641,7 +662,7 @@ func (c *Coordinator) finalizeLocked(id string, st *cellState, res CellResult) {
 	case cellQueued:
 		// A completion that outlived its lease: the first result wins, so
 		// the queued re-run is withdrawn.
-		c.queue.remove(id)
+		c.queue.remove(map[string]bool{id: true})
 	}
 	st.state = cellDone
 	st.result = &res
@@ -649,7 +670,7 @@ func (c *Coordinator) finalizeLocked(id string, st *cellState, res CellResult) {
 	c.rememberFinalLocked(id, res.Fingerprint)
 	c.journalLocked(journalRecord{T: "final", ID: id, Res: &res})
 	for _, sw := range st.sweeps {
-		c.adoptLocked(sw, id, res)
+		c.adoptLocked(sw, res)
 	}
 	st.sweeps = nil
 	if st.refs <= 0 {
@@ -657,20 +678,16 @@ func (c *Coordinator) finalizeLocked(id string, st *cellState, res CellResult) {
 	}
 }
 
-// adoptLocked delivers a finalized result into one sweep: records it,
-// updates the sweep summary, fans it out to attached subscribers, and
-// completes the sweep when the grid is full. Callers hold c.mu.
-func (c *Coordinator) adoptLocked(sw *sweepState, id string, res CellResult) {
-	if sw.done {
-		return
-	}
-	if _, ok := sw.results[id]; ok {
-		return
-	}
+// adoptLocked delivers a finalized result into one sweep, once per cell:
+// appends it to the log, updates the sweep summary, and wakes the
+// sweep's streams. The sweep is complete when nothing is pending.
+// Callers hold c.mu.
+func (c *Coordinator) adoptLocked(sw *sweepState, res CellResult) {
 	// Every leased cell of a screened sweep is there because the
 	// screening tier promoted it.
 	res.Promoted = sw.req.Screen
-	sw.results[id] = res
+	sw.log = append(sw.log, res)
+	sw.pending--
 	switch res.Status {
 	case StatusInfeasible:
 		sw.sum.Infeasible++
@@ -682,12 +699,11 @@ func (c *Coordinator) adoptLocked(sw *sweepState, id string, res CellResult) {
 	} else if res.Status != StatusError {
 		sw.sum.StoreHits++
 	}
-	for ch := range sw.subs {
-		ch <- res // buffered for every cell; never blocks
+	if sw.wake != nil {
+		close(sw.wake)
+		sw.wake = nil
 	}
-	if len(sw.results) == len(sw.ids) {
-		sw.done = true
-		c.journalLocked(journalRecord{T: "done", Token: sw.token})
+	if sw.pending == 0 {
 		c.opts.Logf("sweep %s complete: %d cells, %d simulated, %d store hits, %d errors",
 			sw.token, sw.sum.Cells, sw.sum.Simulated, sw.sum.StoreHits, sw.sum.Errors)
 	}
@@ -701,7 +717,9 @@ const maxFinals = 65536
 
 // rememberFinalLocked records a finalized cell's fingerprint so a stale
 // worker completing the same cell after eviction is still cross-checked
-// for divergence. Callers hold c.mu.
+// for divergence. finals is the only record of a cell whose sweep was
+// dropped and its state evicted; sweep logs and cell states go with
+// them. Callers hold c.mu.
 func (c *Coordinator) rememberFinalLocked(id, fingerprint string) {
 	if len(c.finals) >= maxFinals {
 		c.finals = map[string]string{}
@@ -772,13 +790,7 @@ func validateSweep(req SweepRequest) error {
 // results for cells this sweep should see as done. decisions is the
 // request's screening (c.screen). Callers hold c.mu.
 func (c *Coordinator) buildSweepLocked(token string, req SweepRequest, finals map[string]CellResult, decisions []ScreenDecision) *sweepState {
-	sw := &sweepState{
-		token:   token,
-		req:     req,
-		prio:    clampPriority(req.Priority),
-		results: map[string]CellResult{},
-		subs:    map[chan CellResult]bool{},
-	}
+	sw := &sweepState{token: token, req: req, prio: clampPriority(req.Priority)}
 	sw.sum.Cells = req.Grid.Size()
 
 	// Screening tier: lease only the promoted cells. ScreenGrid is
@@ -794,7 +806,7 @@ func (c *Coordinator) buildSweepLocked(token string, req SweepRequest, finals ma
 				cells = append(cells, d.Cell)
 				continue
 			}
-			sw.settled = append(sw.settled, d.CellResult())
+			sw.log = append(sw.log, d.CellResult())
 			switch d.Result.Status {
 			case StatusInfeasible:
 				sw.sum.Infeasible++
@@ -802,13 +814,12 @@ func (c *Coordinator) buildSweepLocked(token string, req SweepRequest, finals ma
 				sw.sum.Errors++
 			}
 		}
-		sw.sum.Screened = len(sw.settled)
+		sw.sum.Screened = len(sw.log)
 		sw.sum.Promoted = len(cells)
 	}
 
-	// Fix the full id set before adopting any result: adoption checks
-	// len(results) against len(ids) for sweep completion, so ids must be
-	// complete first.
+	// Fix the full id set before adopting any result: adoption counts
+	// pending down to completion, so ids must be complete first.
 	seen := map[string]bool{}
 	uniq := cells[:0]
 	for _, cell := range cells {
@@ -820,7 +831,9 @@ func (c *Coordinator) buildSweepLocked(token string, req SweepRequest, finals ma
 		sw.ids = append(sw.ids, id)
 		uniq = append(uniq, cell)
 	}
+	sw.pending = len(sw.ids)
 	queued := false
+	var promote map[string]bool // queued cells this sweep raises to its priority
 	for i, cell := range uniq {
 		id := sw.ids[i]
 		st, ok := c.cells[id]
@@ -852,20 +865,22 @@ func (c *Coordinator) buildSweepLocked(token string, req SweepRequest, finals ma
 				// from the shared store.
 				res.Simulated = false
 			}
-			c.adoptLocked(sw, id, res)
+			c.adoptLocked(sw, res)
 		} else {
 			st.sweeps = append(st.sweeps, sw)
-			if st.state == cellQueued && sw.prio > st.prio {
-				c.queue.promote(id, st.prio, sw.prio)
-			}
 			if sw.prio > st.prio {
+				if st.state == cellQueued {
+					if promote == nil {
+						promote = map[string]bool{}
+					}
+					promote[id] = true
+				}
 				st.prio = sw.prio
 			}
 		}
 	}
-	if len(sw.ids) == 0 && !sw.done {
-		sw.done = true
-		c.journalLocked(journalRecord{T: "done", Token: token})
+	if promote != nil {
+		c.queue.promote(promote, sw.prio)
 	}
 	c.sweeps[token] = sw
 	c.sweepOrder = append(c.sweepOrder, token)
@@ -875,10 +890,11 @@ func (c *Coordinator) buildSweepLocked(token string, req SweepRequest, finals ma
 	return sw
 }
 
-// screen prices a screened request's grid on the coordinator's shared
-// estimator; an unscreened request has no decisions. Pricing is the
-// slowest step of a large submission, so handleSweep screens before
-// taking c.mu: leases, heartbeats and completions never wait on it.
+// screen prices a screened request's grid on an estimator of its own,
+// so no submission leaves cached profiles behind; an unscreened request
+// has no decisions. Pricing is the slowest step of a large submission,
+// so handleSweep screens before taking c.mu: leases, heartbeats and
+// completions never wait on it.
 func (c *Coordinator) screen(req SweepRequest) []ScreenDecision {
 	if !req.Screen {
 		return nil
@@ -886,7 +902,7 @@ func (c *Coordinator) screen(req SweepRequest) []ScreenDecision {
 	if c.opts.beforeScreen != nil {
 		c.opts.beforeScreen()
 	}
-	return ScreenGrid(c.est, req.Grid, ScreenOptions{
+	return ScreenGrid(analytic.New(), req.Grid, ScreenOptions{
 		PromoteMargin:    req.PromoteMargin,
 		UncertaintyBound: req.UncertaintyBound,
 	})
@@ -897,44 +913,27 @@ func (c *Coordinator) screen(req SweepRequest) []ScreenDecision {
 func (c *Coordinator) inflightLocked(client string) int {
 	n := 0
 	for _, sw := range c.sweeps {
-		if sw.done || sw.req.Client != client {
-			continue
+		if sw.req.Client == client {
+			n += sw.pending
 		}
-		n += len(sw.ids) - len(sw.results)
 	}
 	return n
 }
 
-// attachLocked registers a new subscriber stream on a sweep, returning
-// the already-finalized results to replay and how many more to expect.
-// The channel is buffered for every cell so finalization never blocks.
-// Callers hold c.mu.
-func (c *Coordinator) attachLocked(sw *sweepState) (replay []CellResult, remaining int, ch chan CellResult) {
-	ch = make(chan CellResult, len(sw.ids))
-	sw.subs[ch] = true
-	sw.idle = time.Time{}
-	replay = make([]CellResult, 0, len(sw.results))
-	for _, res := range sw.results {
-		replay = append(replay, res)
-	}
-	return replay, len(sw.ids) - len(replay), ch
-}
-
-// detach removes a subscriber; the last one out starts the retention
-// clock.
-func (c *Coordinator) detach(sw *sweepState, ch chan CellResult) {
+// detach ends one of the sweep's streams; the last one out starts the
+// retention clock.
+func (c *Coordinator) detach(sw *sweepState) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(sw.subs, ch)
-	if len(sw.subs) == 0 {
+	if sw.streams--; sw.streams == 0 {
 		sw.idle = time.Now()
 	}
 }
 
 // handleSweep validates a submission (or a resume), attaches a stream,
-// and sends NDJSON events until the grid is full: "start" with the
-// resume token, the replay, live completions with "ping" keepalives,
-// then "done".
+// and sends NDJSON events until the sweep is complete: "start" with the
+// resume token, the sweep's log from its start, its growth with "ping"
+// keepalives, then "done".
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if !decode(w, r, &req) {
@@ -948,10 +947,11 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("sweepd: unknown resume token %q", req.Resume), http.StatusNotFound)
 			return
 		}
-		replay, remaining, ch := c.attachLocked(sw)
+		sw.streams++
+		logged, pending := len(sw.log), sw.pending
 		c.mu.Unlock()
-		c.opts.Logf("sweep %s resumed: replaying %d results, %d outstanding", sw.token, len(replay), remaining)
-		c.streamSweep(w, r, sw, replay, remaining, ch)
+		c.opts.Logf("sweep %s resumed: replaying %d results, %d outstanding", sw.token, logged, pending)
+		c.streamSweep(w, r, sw)
 		return
 	}
 	if err := schema.Check("sweep request", req.SchemaVersion); err != nil {
@@ -1004,7 +1004,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	token := "s" + randomHex(6)
 	c.journalLocked(journalRecord{T: "sweep", Token: token, Req: &req})
 	sw := c.buildSweepLocked(token, req, nil, decisions)
-	replay, remaining, ch := c.attachLocked(sw)
+	sw.streams++
 	c.mu.Unlock()
 
 	if req.Screen {
@@ -1013,14 +1013,16 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	} else {
 		c.opts.Logf("sweep %s submitted: %d cells (%s)", token, sw.sum.Cells, req.Grid)
 	}
-	c.streamSweep(w, r, sw, replay, remaining, ch)
+	c.streamSweep(w, r, sw)
 }
 
-// streamSweep owns one client connection: start event, settled results,
-// replay, then live completions and pings until the sweep is full or
-// the client leaves. Each burst of events goes out with one flush.
-func (c *Coordinator) streamSweep(w http.ResponseWriter, r *http.Request, sw *sweepState, replay []CellResult, remaining int, ch chan CellResult) {
-	defer c.detach(sw, ch)
+// streamSweep owns one client connection of an attached stream: the
+// start event, then the sweep's log from its start, following it with
+// pings until the sweep is complete or the client leaves. Whatever the
+// log gained since the stream last looked, such as the rest of a batch
+// completion, goes out with one flush, and the done event with its own.
+func (c *Coordinator) streamSweep(w http.ResponseWriter, r *http.Request, sw *sweepState) {
+	defer c.detach(sw)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -1038,39 +1040,29 @@ func (c *Coordinator) streamSweep(w http.ResponseWriter, r *http.Request, sw *sw
 		return err == nil
 	}
 	write(StreamEvent{Type: "start", Token: sw.token, PingMillis: c.opts.PingEvery.Milliseconds()})
-	for i := range sw.settled {
-		write(StreamEvent{Type: "cell", Cell: &sw.settled[i]})
-	}
-	for i := range replay {
-		write(StreamEvent{Type: "cell", Cell: &replay[i]})
-	}
-	if !flush() {
-		return
-	}
 	ping := time.NewTicker(c.opts.PingEvery)
 	defer ping.Stop()
-	var burst []CellResult
-	for remaining > 0 {
+	for sent := 0; ; {
+		c.mu.Lock()
+		log, complete := sw.log, sw.pending == 0
+		if sw.wake == nil {
+			sw.wake = make(chan struct{})
+		}
+		wake := sw.wake
+		c.mu.Unlock()
+		for ; sent < len(log); sent++ {
+			write(StreamEvent{Type: "cell", Cell: &log[sent]})
+		}
+		if !flush() {
+			return // client gone; the sweep stays resumable
+		}
+		if complete {
+			break
+		}
 		select {
-		case res := <-ch:
-			// Whatever else is queued, such as the rest of a batch
-			// completion, goes out in the same flush.
-			burst = append(burst[:0], res)
-			for len(ch) > 0 {
-				burst = append(burst, <-ch)
-			}
-			remaining -= len(burst)
-			for i := range burst {
-				write(StreamEvent{Type: "cell", Cell: &burst[i]})
-			}
-			if !flush() {
-				return // client gone; the sweep stays resumable
-			}
+		case <-wake:
 		case <-ping.C:
 			write(StreamEvent{Type: "ping"})
-			if !flush() {
-				return
-			}
 		case <-r.Context().Done():
 			return
 		}
@@ -1105,9 +1097,10 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		// be mistaken for a freshly registered one.
 		id += "-" + c.instance
 	}
-	c.workers[id] = &workerState{name: req.Name, domain: domain, lastSeen: time.Now()}
 	// The cap keeps the sum of untrusted slot counts from overflowing.
-	c.slots += min(max(req.Parallelism, 1), math.MaxInt32)
+	ws := &workerState{domain: domain, slots: min(max(req.Parallelism, 1), math.MaxInt32), lastSeen: time.Now()}
+	c.workers[id] = ws
+	c.slots += ws.slots
 	ds := c.domains[domain]
 	if ds == nil {
 		ds = &domainState{}
@@ -1187,7 +1180,7 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 }
 
 // grantLocked sizes a lease by factoring: at most the cells the worker
-// asked for and at most ⌈queued / (2 × registered slots)⌉, so batches
+// asked for and at most ⌈queued / (2 × live slots)⌉, so batches
 // shrink to single cells as the queue drains, but at least one. Callers
 // hold c.mu.
 func (c *Coordinator) grantLocked(asked int) int {
@@ -1337,14 +1330,9 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	c.mu.Lock()
-	st := Status{Workers: len(c.workers), Divergent: c.divergent, Done: c.doneCells, Sweeps: len(c.sweeps)}
-	for _, cs := range c.cells {
-		switch cs.state {
-		case cellQueued:
-			st.Queued++
-		case cellLeased:
-			st.Leased++
-		}
+	st := Status{
+		Workers: len(c.workers), Queued: c.queue.len(), Leased: c.leases.Len(),
+		Divergent: c.divergent, Done: c.doneCells, Sweeps: len(c.sweeps),
 	}
 	names := make([]string, 0, len(c.domains))
 	for name := range c.domains {

@@ -8,6 +8,10 @@ import (
 	"errors"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,6 +21,7 @@ import (
 	"multicore/internal/experiments"
 	"multicore/internal/schema"
 	"multicore/internal/store"
+	"multicore/internal/sweepd/journal"
 )
 
 // Durability, admission control, and failure-domain tests: quotas,
@@ -495,5 +500,247 @@ func crashRestartSweep(t *testing.T, g Grid, screen bool, golden map[string]Cell
 	defer st.Close()
 	if n, err := st.Len(); err != nil || n != simulated {
 		t.Errorf("store holds %d entries (err %v), want %d", n, err, simulated)
+	}
+}
+
+// TestResumeAllocatesNothingPerCell: a stream resumed on a sweep of
+// 21,600 pending cells allocates nothing that grows with the sweep. It
+// reads the sweep's log in place; a per-stream buffer for every cell
+// would cost about 4.5 MB per attach.
+func TestResumeAllocatesNothingPerCell(t *testing.T) {
+	c, err := NewCoordinator(CoordinatorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close() // the resumes under test are the only thing that allocates
+	queueSweep(t, c, "sbig", manyCells(21600))
+	h := c.Handler()
+	body, _ := json.Marshal(SweepRequest{Resume: "sbig"})
+	resume := func() {
+		// A canceled request returns right after the start event's flush.
+		req := httptest.NewRequest(http.MethodPost, PathSweep, bytes.NewReader(body))
+		ctx, cancel := context.WithCancel(req.Context())
+		cancel()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req.WithContext(ctx))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("resume: %d %s", rec.Code, rec.Body)
+		}
+	}
+	resume()
+	const n = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		resume()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 256<<10 {
+		t.Errorf("a resume allocated %d bytes on a sweep of 21,600 pending cells, want under 256 KiB", per)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if sw := c.sweeps["sbig"]; sw.streams != 0 || sw.idle.IsZero() {
+		t.Errorf("after the streams ended: %d attached, idle since %v; want none and the retention clock running", sw.streams, sw.idle)
+	}
+}
+
+// TestSnapshotBytesLinear: a durable coordinator driven through one
+// unscreened sweep, a lease and a final per cell, writes snapshot bytes
+// in proportion to the sweep: four times the cells write about four
+// times the bytes. Compacting every snapshotEvery records whatever the
+// state's size re-encoded every result held so far, so the bytes grew
+// with the square of the cells (15.6 times for four times the cells).
+func TestSnapshotBytesLinear(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drives 54,000 cells through a durable coordinator")
+	}
+	snapshotBytes := func(cells int) int64 {
+		dir := t.TempDir()
+		c, err := NewCoordinator(CoordinatorOptions{StateDir: dir, SyncEvery: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		queueSweep(t, c, "slinear", manyCells(cells))
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		var total int64
+		// step journals one record; a snapshot on the way empties the
+		// journal, and its file then holds what the snapshot wrote.
+		step := func(journal func()) {
+			n := c.jn.Records()
+			journal()
+			if c.jn.Records() <= n {
+				fi, err := os.Stat(filepath.Join(dir, "snapshot.json"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				total += fi.Size()
+			}
+		}
+		for {
+			var asg *Assignment
+			step(func() { asg = c.popLocked("w1") })
+			if asg == nil {
+				return total
+			}
+			res := CellResult{Cell: asg.Cell, Status: StatusOK, Seconds: 1, Simulated: true}
+			step(func() { c.completeLocked("w1", Report{ID: asg.ID, Attempt: asg.Attempt, Result: res}) })
+		}
+	}
+	small, large := snapshotBytes(10800), snapshotBytes(43200)
+	t.Logf("snapshot bytes: %d for 10,800 cells, %d for 43,200", small, large)
+	if small == 0 {
+		t.Fatal("no snapshot while driving 10,800 cells")
+	}
+	if r := float64(large) / float64(small); r > 5 {
+		t.Errorf("4x the cells wrote %.1fx the snapshot bytes, want about 4x", r)
+	}
+}
+
+// olderSweep and olderState are the snapshot format of coordinators
+// that stored each sweep's completion: a "done" field per sweep, next to
+// the "done" journal record written when a sweep completed.
+type olderSweep struct {
+	Token string       `json:"token"`
+	Req   SweepRequest `json:"req"`
+	Done  bool         `json:"done,omitempty"`
+}
+
+type olderState struct {
+	Sweeps    []olderSweep          `json:"sweeps"`
+	Results   map[string]CellResult `json:"results,omitempty"`
+	Attempts  map[string]int        `json:"attempts,omitempty"`
+	Finals    map[string]string     `json:"finals,omitempty"`
+	DoneCells int                   `json:"done_cells,omitempty"`
+}
+
+// TestRestoreOlderFormatState: a state directory written in the older
+// format, with snapshot sweeps marked "done" and "done" journal records,
+// restores to the same sweeps, queue and completion. Completion comes
+// from the finals replayed, so the complete sweeps stream their cells
+// and end at once, the incomplete one re-queues its unfinished cells at
+// their journaled attempt counts and ends once they are reported, and
+// the new snapshot stores no completion.
+func TestRestoreOlderFormatState(t *testing.T) {
+	dir := t.TempDir()
+	finished, live, replayed := rankedGrid("stream", 1, 2), rankedGrid("cg", 1, 2, 3), rankedGrid("ft", 1, 2)
+	result := func(cell CellSpec) CellResult {
+		res := CellResult{Cell: cell, Status: StatusOK, Seconds: float64(cell.Ranks), Worker: "w1-0a0b", Simulated: true, Attempt: 1}
+		res.Fingerprint = Fingerprint(res)
+		return res
+	}
+	ps := olderState{
+		Sweeps: []olderSweep{
+			{Token: "sfinished", Req: SweepRequest{SchemaVersion: schema.Version, Grid: finished}, Done: true},
+			{Token: "slive", Req: SweepRequest{SchemaVersion: schema.Version, Grid: live, Priority: 3}},
+		},
+		Results: map[string]CellResult{}, Finals: map[string]string{},
+		Attempts: map[string]int{live.Cells()[2].Key(): 2},
+	}
+	for _, cell := range append(finished.Cells(), live.Cells()[0]) {
+		ps.Results[cell.Key()] = result(cell)
+		ps.Finals[cell.Key()] = result(cell).Fingerprint
+		ps.DoneCells++
+	}
+	snap, err := json.Marshal(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := []journalRecord{{T: "sweep", Token: "sreplayed", Req: &SweepRequest{SchemaVersion: schema.Version, Grid: replayed}}}
+	for _, cell := range replayed.Cells() {
+		res := result(cell)
+		records = append(records, journalRecord{T: "final", ID: cell.Key(), Res: &res})
+	}
+	records = append(records,
+		journalRecord{T: "done", Token: "sreplayed"},
+		journalRecord{T: "lease", ID: live.Cells()[2].Key(), Attempt: 3})
+	jn, _, _, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.Snapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range records {
+		b, _ := json.Marshal(rec)
+		if err := jn.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jn.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c, srv := startCoordinator(t, CoordinatorOptions{StateDir: dir, PingEvery: 20 * time.Millisecond})
+	st := getStatus(t, srv.URL)
+	if st.Sweeps != 3 || st.Queued != 2 || st.Leased != 0 || st.Done != 5 {
+		t.Fatalf("restored status %+v, want 3 sweeps, 2 queued, 0 leased, 5 done", st)
+	}
+	c.mu.Lock()
+	for token, pending := range map[string]int{"sfinished": 0, "sreplayed": 0, "slive": 2} {
+		if sw := c.sweeps[token]; sw == nil || sw.pending != pending {
+			t.Errorf("sweep %s restored with %+v, want %d pending", token, sw, pending)
+		}
+	}
+	if got := c.cells[live.Cells()[2].Key()].asg.Attempt; got != 3 {
+		t.Errorf("journaled attempt count restored as %d, want 3", got)
+	}
+	c.mu.Unlock()
+	snapshot, err := os.ReadFile(filepath.Join(dir, "snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(snapshot, []byte(`"done"`)) {
+		t.Errorf("the snapshot written after restore stores completion: %s", snapshot)
+	}
+
+	// stream resumes token and reads its events through done, or through
+	// the first ping when the sweep is incomplete.
+	stream := func(token string, untilPing bool) (cells int, sum *Summary) {
+		t.Helper()
+		body, _ := json.Marshal(SweepRequest{Resume: token})
+		resp, err := http.Post(srv.URL+PathSweep, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		sc := bufio.NewScanner(resp.Body)
+		for {
+			switch ev := readEvent(t, sc); ev.Type {
+			case "cell":
+				cells++
+			case "ping":
+				if untilPing {
+					return cells, nil
+				}
+			case "done":
+				return cells, ev.Summary
+			}
+		}
+	}
+	for token, want := range map[string]int{"sfinished": 2, "sreplayed": 2} {
+		if cells, sum := stream(token, false); cells != want || sum == nil || sum.Cells != want {
+			t.Errorf("resumed %s: %d cells, summary %+v; want %d cells and done", token, cells, sum, want)
+		}
+	}
+	if cells, _ := stream("slive", true); cells != 1 {
+		t.Errorf("resumed the incomplete sweep: %d cells before a ping, want 1", cells)
+	}
+
+	w := registerWorker(t, srv.URL)
+	for i := 0; i < 2; i++ {
+		asg := pollUntil(t, srv.URL, w, 5*time.Second)
+		if asg == nil {
+			t.Fatalf("no assignment for queued cell %d", i)
+		}
+		if want := map[int]int{2: 1, 3: 4}[asg.Cell.Ranks]; asg.Attempt != want {
+			t.Errorf("cell %s leased at attempt %d, want %d", asg.ID, asg.Attempt, want)
+		}
+		completeOK(t, srv.URL, w, asg, 1)
+	}
+	if cells, sum := stream("slive", false); cells != 3 || sum == nil || sum.Cells != 3 {
+		t.Errorf("resumed the completed sweep: %d cells, summary %+v; want 3 cells and done", cells, sum)
 	}
 }

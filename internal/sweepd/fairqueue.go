@@ -93,28 +93,46 @@ func (q *fairQueue) pop() (string, bool) {
 	return id, true
 }
 
-// remove drops id wherever it is queued; reports whether it was found.
-func (q *fairQueue) remove(id string) bool {
-	for _, cl := range q.classes {
-		for i, qid := range cl.ids {
-			if qid == id {
-				cl.ids = append(cl.ids[:i], cl.ids[i+1:]...)
-				q.n--
-				return true
-			}
-		}
-	}
-	return false
+// remove takes every queued id in ids out of the queue in one pass over
+// it, keeping the order of the rest, and returns them in queue order,
+// lower classes first.
+func (q *fairQueue) remove(ids map[string]bool) []string {
+	return q.take(ids, MaxPriority+1)
 }
 
-// promote moves an already-queued id to a higher-priority class (a
-// second sweep referencing the same pending cell at higher priority).
-// No-op if the cell is not queued or the new priority is not higher.
-func (q *fairQueue) promote(id string, from, to int) {
-	if clampPriority(to) <= clampPriority(from) {
-		return
-	}
-	if q.remove(id) {
+// promote moves every id in ids that is queued below priority to into
+// class to (a second sweep referencing pending cells at a higher
+// priority), in one pass over the lower classes; they join it in the
+// order they were queued, lower classes first. Ids queued at or above to
+// stay where they are.
+func (q *fairQueue) promote(ids map[string]bool, to int) {
+	to = clampPriority(to)
+	for _, id := range q.take(ids, to) {
 		q.push(id, to)
 	}
+}
+
+// take removes the ids in ids from the classes below priority below, in
+// one pass over each, keeping the order of the rest, and returns the
+// removed ids in queue order, lower classes first.
+func (q *fairQueue) take(ids map[string]bool, below int) []string {
+	var took []string
+	for prio := 0; prio < below; prio++ {
+		cl := q.classes[prio]
+		if cl == nil {
+			continue
+		}
+		kept := cl.ids[:0]
+		for _, id := range cl.ids {
+			if ids[id] {
+				took = append(took, id)
+			} else {
+				kept = append(kept, id)
+			}
+		}
+		clear(cl.ids[len(kept):])
+		cl.ids = kept
+	}
+	q.n -= len(took)
+	return took
 }

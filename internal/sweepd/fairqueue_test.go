@@ -2,7 +2,10 @@ package sweepd
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+
+	"multicore/internal/schema"
 )
 
 func TestFairQueueFIFOWithinClass(t *testing.T) {
@@ -86,28 +89,135 @@ func TestFairQueueRemoveAndPromote(t *testing.T) {
 	q.push("a", 0)
 	q.push("b", 0)
 	q.push("c", 0)
-	if !q.remove("b") {
+	b := map[string]bool{"b": true}
+	if len(q.remove(b)) != 1 {
 		t.Fatal("remove(b) failed")
 	}
-	if q.remove("b") {
+	if len(q.remove(b)) != 0 {
 		t.Fatal("remove(b) twice succeeded")
 	}
 	if q.len() != 2 {
 		t.Fatalf("len = %d, want 2", q.len())
 	}
 	// Promote c above a: with weight 10 vs 1 it dequeues first.
-	q.promote("c", 0, 9)
+	q.promote(map[string]bool{"c": true}, 9)
 	id, _ := q.pop()
 	if id != "c" {
 		t.Errorf("after promote, pop = %q, want c", id)
 	}
 	// Demotion is a no-op.
-	q.promote("a", 5, 2)
+	q.promote(map[string]bool{"a": true}, 0)
 	if id, _ := q.pop(); id != "a" {
 		t.Errorf("pop = %q, want a", id)
 	}
 	if q.len() != 0 {
 		t.Errorf("len = %d, want 0", q.len())
+	}
+}
+
+// TestFairQueueOnePassRemoveAndPromote: removing or promoting a set of
+// ids keeps every class's other ids in FIFO order and len() exact.
+// Promoted ids join the target class after its own ids, in the order
+// they were queued, lower classes first; ids queued at or above the
+// target stay where they are, and ids not queued are ignored.
+func TestFairQueueOnePassRemoveAndPromote(t *testing.T) {
+	q := newFairQueue()
+	for i := 0; i < 6; i++ {
+		q.push(fmt.Sprintf("a%d", i), 0)
+		q.push(fmt.Sprintf("b%d", i), 2)
+		q.push(fmt.Sprintf("c%d", i), 5)
+	}
+	set := func(ids ...string) map[string]bool {
+		m := map[string]bool{}
+		for _, id := range ids {
+			m[id] = true
+		}
+		return m
+	}
+	check := func(what string, n int, want map[int][]string) {
+		t.Helper()
+		if q.len() != n {
+			t.Errorf("%s: len = %d, want %d", what, q.len(), n)
+		}
+		for prio, cl := range q.classes {
+			if !slices.Equal(cl.ids, want[prio]) {
+				t.Errorf("%s: class %d holds %v, want %v", what, prio, cl.ids, want[prio])
+			}
+		}
+	}
+	if got := q.remove(set("c3", "a0", "nope", "b4", "a2")); !slices.Equal(got, []string{"a0", "a2", "b4", "c3"}) {
+		t.Errorf("remove took %v, want [a0 a2 b4 c3]", got)
+	}
+	check("remove", 14, map[int][]string{
+		0: {"a1", "a3", "a4", "a5"},
+		2: {"b0", "b1", "b2", "b3", "b5"},
+		5: {"c0", "c1", "c2", "c4", "c5"},
+	})
+	q.push("d0", 4)
+	q.promote(set("b1", "a3", "c5", "a1", "a0"), 4)
+	check("promote", 15, map[int][]string{
+		0: {"a4", "a5"},
+		2: {"b0", "b2", "b3", "b5"},
+		4: {"d0", "a1", "a3", "b1"},
+		5: {"c0", "c1", "c2", "c4", "c5"},
+	})
+	seen := map[string]bool{}
+	for id, ok := q.pop(); ok; id, ok = q.pop() {
+		if seen[id] {
+			t.Errorf("%s dequeued twice", id)
+		}
+		seen[id] = true
+	}
+	if len(seen) != 15 || q.len() != 0 {
+		t.Errorf("drained %d ids, len %d; want 15 and 0", len(seen), q.len())
+	}
+}
+
+// BenchmarkDropQueuedSweep times dropSweepLocked, which the janitor runs
+// under the coordinator's lock, on a sweep whose cells are all queued.
+func BenchmarkDropQueuedSweep(b *testing.B) {
+	for _, n := range []int{5400, 10800, 21600, 43200} {
+		b.Run(fmt.Sprintf("cells=%d", n), func(b *testing.B) {
+			g := manyCells(n)
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c, err := NewCoordinator(CoordinatorOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				c.Close()
+				queueSweep(b, c, "sdrop", g)
+				b.StartTimer()
+				c.mu.Lock()
+				c.dropSweepLocked("sdrop", c.sweeps["sdrop"])
+				c.mu.Unlock()
+			}
+		})
+	}
+}
+
+// BenchmarkPromoteQueuedSweep times buildSweepLocked, which runs under
+// the coordinator's lock, for a resubmission at priority 9 of a grid
+// whose cells are all queued at priority 0.
+func BenchmarkPromoteQueuedSweep(b *testing.B) {
+	for _, n := range []int{5400, 10800, 21600, 43200} {
+		b.Run(fmt.Sprintf("cells=%d", n), func(b *testing.B) {
+			g := manyCells(n)
+			req := SweepRequest{SchemaVersion: schema.Version, Grid: g, Priority: 9}
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c, err := NewCoordinator(CoordinatorOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				c.Close()
+				queueSweep(b, c, "slow", g)
+				b.StartTimer()
+				c.mu.Lock()
+				c.buildSweepLocked("shigh", req, nil, nil)
+				c.mu.Unlock()
+			}
+		})
 	}
 }
 

@@ -602,3 +602,55 @@ func FuzzWorkerRequests(f *testing.F) {
 		}
 	})
 }
+
+// TestRegistrationExpires: a worker unheard-from for longer than Lease +
+// PollWait loses its registration while a worker that keeps polling
+// keeps its own. The silent worker's four slots leave the grant
+// denominator, /status and its domain's worker count, and its next poll
+// gets 404, the answer that makes a worker register again.
+func TestRegistrationExpires(t *testing.T) {
+	c, srv := startCoordinator(t, CoordinatorOptions{Lease: 100 * time.Millisecond, PollWait: 50 * time.Millisecond})
+	register := func(slots int) string {
+		return postAs[RegisterResponse](t, srv.URL+PathRegister,
+			RegisterRequest{SchemaVersion: schema.Version, Name: "expiry", Parallelism: slots}).Worker
+	}
+	silent, live := register(4), register(1)
+	if st := getStatus(t, srv.URL); st.Workers != 2 {
+		t.Fatalf("status %+v, want 2 workers", st)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		postAs[PollResponse](t, srv.URL+PathPoll, PollRequest{Worker: live, WaitMillis: 10})
+		if getStatus(t, srv.URL).Workers == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the silent worker's registration never expired")
+		}
+	}
+	st := getStatus(t, srv.URL)
+	if len(st.Domains) != 1 || st.Domains[0].Workers != 1 {
+		t.Errorf("status domains %+v, want one domain with 1 worker", st.Domains)
+	}
+	c.mu.Lock()
+	slots := c.slots
+	c.mu.Unlock()
+	if slots != 1 {
+		t.Errorf("the grant denominator counts %d slots, want 1", slots)
+	}
+	queueSweep(t, c, "sexpiry", manyCells(16))
+	resp := postAs[PollResponse](t, srv.URL+PathPoll, PollRequest{Worker: live, WaitMillis: 10, Batch: 16})
+	if got, want := len(resp.batch()), factoringGrant(16, 16, 1); got != want {
+		t.Errorf("with 16 queued the live worker was granted %d cells, want %d (one live slot)", got, want)
+	}
+	body, _ := json.Marshal(PollRequest{Worker: silent, WaitMillis: 10})
+	hresp, err := http.Post(srv.URL+PathPoll, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hresp.Body.Close()
+	if hresp.StatusCode != http.StatusNotFound {
+		t.Errorf("the expired worker's poll got %d, want 404", hresp.StatusCode)
+	}
+	checkCellStates(t, c)
+}

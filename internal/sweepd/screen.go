@@ -1,12 +1,14 @@
 package sweepd
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 
 	"multicore/internal/affinity"
 	"multicore/internal/analytic"
 	"multicore/internal/experiments"
+	"multicore/internal/store"
 	"multicore/internal/workload"
 )
 
@@ -284,45 +286,40 @@ func ScreenSummary(decisions []ScreenDecision, results map[string]CellResult) Su
 	return sum
 }
 
-// StoreObservation is the store-agnostic calibration input form;
-// cmd/mcbench adapts persisted store.Entry records into it so this
-// package does not depend on the store's schema plumbing.
-type StoreObservation struct {
-	Workload string
-	System   string
-	Ranks    int
-	Scheme   string
-	Faults   string
-	Status   string
-	Seconds  float64
-}
-
 // CalibrateFromStore fits the estimator's per-class correction factors
 // from the simulation results already persisted in a cell store (see
 // analytic.Calibrate). Only clean entries participate: ok-status cells
-// with no fault plan. Entries whose workload or scheme does not parse
-// back into a cell (parameter-override keys, foreign families) are
-// skipped, not errors.
-func CalibrateFromStore(e *analytic.Estimator, entries []StoreObservation) (analytic.Calibration, error) {
+// with no fault plan whose value is a makespan. Entries whose workload
+// or scheme does not parse back into a cell (parameter-override keys,
+// foreign families) are skipped, not errors.
+func CalibrateFromStore(e *analytic.Estimator, st *store.Store) (analytic.Calibration, error) {
+	entries, err := st.List()
+	if err != nil {
+		return analytic.Calibration{}, err
+	}
 	var obs []analytic.Observation
 	for _, ent := range entries {
-		if ent.Status != StatusOK || ent.Faults != "" {
+		if ent.Status != store.StatusOK || ent.Key.Faults != "" {
 			continue
 		}
-		spec, err := workload.ParseSpec(ent.Workload)
+		var secs float64
+		if err := json.Unmarshal(ent.Value, &secs); err != nil {
+			continue // not a makespan cell (table artifact, etc.)
+		}
+		spec, err := workload.ParseSpec(ent.Key.Workload)
 		if err != nil {
 			continue
 		}
-		scheme, ok := parseSchemeAny(ent.Scheme)
+		scheme, ok := schemeByName(ent.Key.Scheme)
 		if !ok {
 			continue
 		}
 		obs = append(obs, analytic.Observation{
 			Workload: spec,
-			System:   ent.System,
-			Ranks:    ent.Ranks,
+			System:   ent.Key.System,
+			Ranks:    ent.Key.Ranks,
 			Scheme:   scheme,
-			Seconds:  ent.Seconds,
+			Seconds:  secs,
 		})
 	}
 	if len(obs) == 0 {
@@ -331,13 +328,9 @@ func CalibrateFromStore(e *analytic.Estimator, entries []StoreObservation) (anal
 	return analytic.Calibrate(e, obs)
 }
 
-// parseSchemeAny accepts a scheme in either serialized form: the CLI
-// name sweep grids use ("localalloc") or the display name persisted in
-// store keys ("One MPI + Local Alloc").
-func parseSchemeAny(name string) (affinity.Scheme, bool) {
-	if s, err := affinity.ParseScheme(name); err == nil {
-		return s, true
-	}
+// schemeByName parses the display name store keys hold ("One MPI +
+// Local Alloc"): the runner writes Scheme.String() into them.
+func schemeByName(name string) (affinity.Scheme, bool) {
 	for _, s := range affinity.Schemes {
 		if s.String() == name {
 			return s, true

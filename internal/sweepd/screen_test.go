@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"reflect"
 	"runtime"
@@ -569,5 +570,70 @@ func TestScreenGridOutsideLock(t *testing.T) {
 			}
 			resp.Body.Close()
 		})
+	}
+}
+
+// TestCalibrateFromStore: calibrating from a store that a Runner
+// filled, plus an entry under a fault plan and an error entry, fits the
+// factors analytic.Calibrate fits over the clean ok cells alone.
+func TestCalibrateFromStore(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	g := Grid{Workloads: []string{"stream", "cg"}, Systems: []string{"tiger"}, Ranks: []int{1, 2},
+		Schemes: []string{"default", "localalloc", "membind"}, Scale: "quick"}
+	r := experiments.NewRunner(context.Background(), experiments.Options{Parallelism: 1, Store: st})
+	var obs []analytic.Observation
+	for _, res := range RunLocal(r, g, 1) {
+		if res.Status != StatusOK {
+			continue
+		}
+		spec, err := workload.ParseSpec(res.Cell.Workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scheme, err := affinity.ParseScheme(res.Cell.Scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs = append(obs, analytic.Observation{Workload: spec, System: res.Cell.System, Ranks: res.Cell.Ranks, Scheme: scheme, Seconds: res.Seconds})
+	}
+	entries, err := st.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(obs) || len(obs) == 0 {
+		t.Fatalf("the runner stored %d entries for %d ok cells", len(entries), len(obs))
+	}
+	faulted := entries[0].Key
+	faulted.Faults, faulted.FaultSeed = "noise:core=0,period=1ms,frac=0.1", 7
+	failed := entries[0].Key
+	failed.Ranks = 3
+	if err := st.Put(faulted, 1e6); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutError(failed, "injected"); err != nil {
+		t.Fatal(err)
+	}
+
+	want, err := analytic.Calibrate(analytic.New(), obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := CalibrateFromStore(analytic.New(), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Factors) != len(want.Factors) || len(got.Classes) != len(want.Classes) || got.Skipped != want.Skipped {
+		t.Fatalf("calibrated %+v, want %+v", got, want)
+	}
+	for i, c := range got.Classes {
+		w := want.Classes[i]
+		// The geometric mean sums logs in store order, so the last bits may differ.
+		if c.Class != w.Class || c.N != w.N || math.Abs(c.Factor/w.Factor-1) > 1e-12 {
+			t.Errorf("class %s: %d cells, factor %v; want %s: %d cells, factor %v", c.Class, c.N, c.Factor, w.Class, w.N, w.Factor)
+		}
 	}
 }
